@@ -1,9 +1,7 @@
-//! Benchmark: one full User-Matching run and the mutual-best selection step.
+//! Benchmark: one full User-Matching run, sequential and rayon.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snr_bench::Workload;
-use snr_core::matching::{mutual_best_pairs, mutual_best_pairs_rayon};
-use snr_core::witness::ScoreTable;
 use snr_core::{Backend, MatchingConfig, UserMatching};
 use std::hint::black_box;
 
@@ -19,41 +17,6 @@ fn bench_full_algorithm(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-/// Synthetic score table approximating one dense phase.
-fn synthetic_table(n: u32) -> ScoreTable {
-    let mut scores = ScoreTable::new();
-    for u in 0..n {
-        for k in 0..8u32 {
-            let v = (u * 7 + k * 131) % n;
-            scores.insert((u, v), (u + k) % 9 + 1);
-        }
-    }
-    scores
-}
-
-fn bench_mutual_best(c: &mut Criterion) {
-    let scores = synthetic_table(2_000);
-    let mut group = c.benchmark_group("user_matching/mutual_best");
-    group.sample_size(20);
-    for threshold in [1u32, 3, 5] {
-        group.bench_with_input(BenchmarkId::from_parameter(threshold), &threshold, |b, &t| {
-            b.iter(|| black_box(mutual_best_pairs(&scores, t)))
-        });
-    }
-    group.finish();
-}
-
-/// Selection alone, sequential vs. the shard-streaming rayon fold, on a
-/// table big enough that the old collect-into-a-`Vec` copy showed up.
-fn bench_selection_backends(c: &mut Criterion) {
-    let scores = synthetic_table(20_000);
-    let mut group = c.benchmark_group("user_matching/selection");
-    group.sample_size(15);
-    group.bench_function("sequential", |b| b.iter(|| black_box(mutual_best_pairs(&scores, 3))));
-    group.bench_function("rayon", |b| b.iter(|| black_box(mutual_best_pairs_rayon(&scores, 3))));
     group.finish();
 }
 
@@ -75,11 +38,5 @@ fn bench_full_algorithm_rayon(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_full_algorithm,
-    bench_full_algorithm_rayon,
-    bench_mutual_best,
-    bench_selection_backends
-);
+criterion_group!(benches, bench_full_algorithm, bench_full_algorithm_rayon);
 criterion_main!(benches);

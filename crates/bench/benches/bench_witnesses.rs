@@ -1,17 +1,23 @@
-//! Microbenchmark: similarity-witness counting.
+//! Microbenchmark: one fused scoring phase.
 //!
-//! The inner kernel of every phase. Compares the sequential, rayon, and
-//! MapReduce backends on the same workload, shows the effect of the degree
-//! threshold (higher buckets touch far fewer candidate pairs), and runs the
-//! R-MAT-16 pass on all four graph representations (CSR, compact,
-//! mmap-backed segment, sharded) with their memory footprints printed for
-//! the record.
+//! The inner kernel of every phase. Times the fused score+select phase on
+//! the sequential and rayon paths, runs the R-MAT-16 phase on every
+//! executor (in-process, MapReduce in memory and spilling, LSH-blocked,
+//! and the multi-process driver) and on all four graph representations
+//! (CSR, compact, mmap-backed segment, sharded) with their memory
+//! footprints printed for the record, and shows the effect of the degree
+//! threshold on the reference count (higher buckets touch far fewer
+//! candidate pairs).
+//!
+//! The driver labels need the `snr-driver-worker` binary; when it cannot
+//! be launched the bench prints the driver's error and exits non-zero
+//! before timing anything.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use snr_bench::Workload;
 use snr_core::blocking::{lsh_fused_phase, Banding, DEFAULT_SKETCH_SEED};
 use snr_core::scoring::{fused_phase, mapreduce_fused_phase, CandidateCache};
-use snr_core::witness::{count_mapreduce, count_rayon, count_sequential};
+use snr_core::witness::count_sequential;
 use snr_core::{Linking, MatchingConfig};
 use snr_driver::{DriverConfig, DriverStore, ShardDriver};
 use snr_graph::{GraphView, NodeId};
@@ -40,24 +46,6 @@ fn mmap_of<G: GraphView>(g: &G, name: &str) -> (MmapGraph, PathBuf) {
     (MmapGraph::open(&path).expect("open bench segment"), path)
 }
 
-fn bench_backends(c: &mut Criterion) {
-    let workload = Workload::pa(4_000, 10, 0.6, 0.10, 42);
-    let links = workload.linking();
-    let (g1, g2) = (&workload.pair.g1, &workload.pair.g2);
-
-    let mut group = c.benchmark_group("witness_counting/backends");
-    group.sample_size(15);
-    group.bench_function("sequential", |b| {
-        b.iter(|| black_box(count_sequential(g1, g2, &links, 2, 2)))
-    });
-    group.bench_function("rayon", |b| b.iter(|| black_box(count_rayon(g1, g2, &links, 2, 2))));
-    group.bench_function("mapreduce", |b| {
-        let engine = Engine::new(4);
-        b.iter(|| black_box(count_mapreduce(g1, g2, &links, 2, 2, &engine)))
-    });
-    group.finish();
-}
-
 /// The arena fast path: witness scoring with mutual-best selection fused
 /// into row finalization (no score table) — what one matcher phase actually
 /// runs on the sequential and rayon backends.
@@ -77,9 +65,8 @@ fn bench_fused(c: &mut Criterion) {
     group.finish();
 }
 
-/// Table 2 shape at benchmark size: every backend on both graph
-/// representations at R-MAT scale 16. These are the records the
-/// before/after throughput table in CHANGES.md is built from.
+/// Table 2 shape at benchmark size: the fused phase on every executor and
+/// graph representation at R-MAT scale 16.
 fn bench_rmat16(c: &mut Criterion) {
     let workload = Workload::rmat(16, 0.7, 0.02, 46);
     let links = workload.linking();
@@ -88,24 +75,6 @@ fn bench_rmat16(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("witness_counting/rmat16");
     group.sample_size(5);
-    group.bench_function("csr/sequential", |b| {
-        b.iter(|| black_box(count_sequential(g1, g2, &links, 2, 2)))
-    });
-    group.bench_function("csr/rayon", |b| b.iter(|| black_box(count_rayon(g1, g2, &links, 2, 2))));
-    group.bench_function("csr/mapreduce", |b| {
-        let engine = Engine::new(4);
-        b.iter(|| black_box(count_mapreduce(g1, g2, &links, 2, 2, &engine)))
-    });
-    group.bench_function("compact/sequential", |b| {
-        b.iter(|| black_box(count_sequential(&c1, &c2, &links, 2, 2)))
-    });
-    group.bench_function("compact/rayon", |b| {
-        b.iter(|| black_box(count_rayon(&c1, &c2, &links, 2, 2)))
-    });
-    group.bench_function("compact/mapreduce", |b| {
-        let engine = Engine::new(4);
-        b.iter(|| black_box(count_mapreduce(&c1, &c2, &links, 2, 2, &engine)))
-    });
     group.bench_function("csr/fused", |b| {
         b.iter(|| black_box(fused_phase(g1, g2, &links, 2, 2, 2, true)))
     });
@@ -221,8 +190,10 @@ fn bench_rmat16(c: &mut Criterion) {
     // write, no respawn budget — the same pure round the baseline recorded.
     driver_config.checkpoints = false;
     driver_config.respawn_budget = 0;
-    let driver =
-        ShardDriver::new(g1, g2, driver_config.clone()).expect("snapshot graphs for driver bench");
+    let driver = driver_or_exit(ShardDriver::new(g1, g2, driver_config.clone()));
+    // One untimed round first: a missing or broken worker binary is a
+    // setup error to report, not a panic inside the timing loop.
+    driver_or_exit(driver.run(&seeds));
     group.bench_function("driver/fused", |b| {
         b.iter(|| black_box(driver.run(&seeds).expect("distributed round")))
     });
@@ -233,7 +204,7 @@ fn bench_rmat16(c: &mut Criterion) {
     // recoverability (dominated by the checkpoint encode + fsync).
     driver_config.checkpoints = true;
     driver_config.respawn_budget = 2;
-    let driver = ShardDriver::new(g1, g2, driver_config).expect("snapshot graphs for driver bench");
+    let driver = driver_or_exit(ShardDriver::new(g1, g2, driver_config));
     group.bench_function("driver/respawn_overhead", |b| {
         b.iter(|| black_box(driver.run(&seeds).expect("distributed round")))
     });
@@ -246,6 +217,15 @@ fn bench_rmat16(c: &mut Criterion) {
         let _ = std::fs::remove_dir(dir);
     }
     group.finish();
+}
+
+/// Unwraps a driver result, or prints the error (which names how to build or
+/// point at the worker binary) and exits non-zero.
+fn driver_or_exit<T>(result: Result<T, snr_driver::DriverError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("bench_witnesses: driver setup failed: {e}");
+        std::process::exit(1)
+    })
 }
 
 fn bench_degree_thresholds(c: &mut Criterion) {
@@ -263,5 +243,5 @@ fn bench_degree_thresholds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_backends, bench_fused, bench_rmat16, bench_degree_thresholds);
+criterion_group!(benches, bench_fused, bench_rmat16, bench_degree_thresholds);
 criterion_main!(benches);

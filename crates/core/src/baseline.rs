@@ -12,13 +12,11 @@
 //!   17.3% in the paper).
 
 use crate::backend::Backend;
-use crate::linking::Linking;
-use crate::matching::mutual_best_pairs;
-use crate::stats::{MatchingOutcome, PhaseStats};
-use crate::witness::count_witnesses;
+use crate::config::{MatchingConfig, Phase};
+use crate::stats::MatchingOutcome;
+use crate::UserMatching;
 use serde::{Deserialize, Serialize};
 use snr_graph::{GraphView, NodeId};
-use std::time::Instant;
 
 /// Configuration of the baseline matcher.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -64,34 +62,28 @@ impl BaselineMatching {
 
     /// Runs the baseline on a pair of graphs (any [`GraphView`]
     /// representations) and a seed set.
+    ///
+    /// This is User-Matching's phase loop over a flat schedule: one phase
+    /// per pass, every pass at minimum degree 1 (bucket exponent 0,
+    /// reported as bucket 0), on the same exact kernel and backend.
+    ///
+    /// Panics only if the MapReduce backend's engine carries a spill budget
+    /// (`SNR_MR_SPILL_BUDGET`) and a spill fails, like
+    /// [`UserMatching::run`].
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
         G2: GraphView + Sync,
     {
-        let start = Instant::now();
-        let mut links = Linking::with_seeds(g1.node_count(), g2.node_count(), seeds);
-        let mut phases = Vec::new();
-        for pass in 1..=self.config.passes.max(1) {
-            let phase_start = Instant::now();
-            let scores = count_witnesses(g1, g2, &links, 1, 1, self.config.backend);
-            let pairs = mutual_best_pairs(&scores, self.config.threshold);
-            let mut new_links = 0usize;
-            for (u, v) in pairs {
-                if links.insert(u, v) {
-                    new_links += 1;
-                }
-            }
-            phases.push(PhaseStats {
-                iteration: pass,
-                bucket: 0,
-                scored_pairs: scores.len(),
-                new_links,
-                total_links: links.len(),
-                duration: phase_start.elapsed(),
-            });
-        }
-        MatchingOutcome { links, phases, total_duration: start.elapsed() }
+        let config = MatchingConfig::default()
+            .with_threshold(self.config.threshold)
+            .with_backend(self.config.backend);
+        let schedule: Vec<Phase> = (1..=self.config.passes.max(1))
+            .map(|pass| Phase { iteration: pass, bucket: 0, reported_bucket: 0 })
+            .collect();
+        UserMatching::new(config)
+            .run_schedule(g1, g2, seeds, &schedule, None)
+            .expect("spill round failed")
     }
 }
 

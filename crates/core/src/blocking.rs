@@ -16,9 +16,9 @@
 //! * Both sides are sketched with the **same** `k = b·r` hash family
 //!   ([`snr_sketch::MinHasher`]), signatures are banded, and colliding
 //!   left×right pairs become proposals ([`snr_sketch::propose_pairs`]).
-//! * Proposals are re-scored **exactly** through the same
-//!   [`LinkCache`] + [`ScoreArena`] walk as the unblocked path
-//!   ([`crate::scoring::score_pair_list`]) and fed to a [`SelectSink`], so
+//! * Proposals are re-scored **exactly** by the same row kernel as the
+//!   unblocked path ([`crate::scoring::score_row`], via
+//!   [`crate::scoring::score_pair_list`]) and fed to a [`SelectSink`], so
 //!   every link the blocked phase emits carries its true witness count —
 //!   blocking can miss pairs (bounded recall), never mis-score them.
 //!
@@ -29,7 +29,7 @@
 
 use crate::linking::Linking;
 use crate::scoring::{
-    fused_phase_cached, score_pair_list, LinkCache, ScoreArena, ScoreSink, SelectSink,
+    score_pair_list, score_phase_cached, score_row, LinkCache, ScoreArena, SelectSink,
 };
 use rayon::prelude::*;
 use snr_graph::{GraphView, NodeId};
@@ -91,8 +91,8 @@ where
 /// number of distinct `(u, v)` entries its selection stage would process,
 /// which is what blocking actually reduces (the verify stage re-pays the
 /// row bumps of every proposed row, so bump mass alone cannot be saved).
-/// Scores every `ceil(n / 256)`-th candidate row through the cache (bumps
-/// only, no sink) and extrapolates the touched-entry count; deterministic,
+/// Scores every `ceil(n / 256)`-th candidate row with [`score_row`] (no
+/// sink) and extrapolates the touched-entry count; deterministic,
 /// and costs roughly `mass / 256` bumps — a fraction of a percent of the
 /// scan it predicts on the phases where the prediction matters.
 pub fn estimate_scored_pairs<G1>(g1: &G1, cache: &LinkCache, candidates: &[u32], n2: usize) -> u64
@@ -108,14 +108,7 @@ where
     let mut scored = 0u64;
     let mut i = 0usize;
     while i < candidates.len() {
-        arena.begin_row();
-        for w1 in g1.neighbors_iter(NodeId(candidates[i])) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
+        score_row(g1, cache, NodeId(candidates[i]), &mut arena);
         scored += arena.touched().len() as u64;
         rows += 1;
         i += stride;
@@ -167,19 +160,7 @@ where
     if links.is_empty() || candidates1.is_empty() {
         return (0, Vec::new());
     }
-    let cache = {
-        let _span = snr_telemetry::span!("link_cache", links = links.len());
-        let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = if parallel {
-            LinkCache::build_parallel(g2, links, min_deg2)
-        } else {
-            LinkCache::build(g2, links, min_deg2)
-        };
-        if let Some(t) = t {
-            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
-        }
-        cache
-    };
+    let cache = LinkCache::build_for_phase(g2, links, min_deg2, parallel);
     // Two-step gate: the exact bump mass is an upper bound on the scored-
     // pair count and cheap to compute, so it rejects light phases without
     // sampling; phases that pass it are gated on the sampled scored-pair
@@ -203,7 +184,10 @@ where
         rows = candidates1.len(),
     );
     if !blocked {
-        return fused_phase_cached(g1, &cache, n2, candidates1, threshold, parallel);
+        return score_phase_cached(g1, &cache, n2, candidates1, parallel, || {
+            SelectSink::new(n2, threshold)
+        })
+        .finish();
     }
     let candidates2 = candidates2();
     if candidates2.is_empty() {
@@ -253,11 +237,7 @@ where
     if links.is_empty() || candidates1.is_empty() || candidates2.is_empty() {
         return (0, Vec::new());
     }
-    let cache = if parallel {
-        LinkCache::build_parallel(g2, links, min_deg2)
-    } else {
-        LinkCache::build(g2, links, min_deg2)
-    };
+    let cache = LinkCache::build_for_phase(g2, links, min_deg2, parallel);
     lsh_phase_cached(
         g1,
         g2,

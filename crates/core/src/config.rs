@@ -124,6 +124,53 @@ impl MatchingConfig {
         self.lsh_mass_floor = floor;
         self
     }
+
+    /// The phase schedule: for each of the `k` iterations, the degree
+    /// buckets from `⌊log₂ D⌋` down to [`MatchingConfig::min_bucket`], where
+    /// `max_degree` is `D`, the larger of the two copies' maximum degrees
+    /// (so the first bucket is never empty on either side). Without degree
+    /// bucketing each iteration is one phase at `min_bucket`.
+    ///
+    /// Every executor runs this one schedule, which is what makes their
+    /// per-phase statistics comparable phase for phase.
+    pub fn schedule(&self, max_degree: usize) -> Vec<Phase> {
+        let top_bucket = if self.degree_bucketing {
+            (usize::BITS - 1).saturating_sub(max_degree.max(1).leading_zeros()).max(self.min_bucket)
+        } else {
+            self.min_bucket
+        };
+        let bucketing = self.degree_bucketing;
+        (1..=self.iterations)
+            .flat_map(|iteration| {
+                (self.min_bucket..=top_bucket).rev().map(move |bucket| Phase {
+                    iteration,
+                    bucket,
+                    reported_bucket: if bucketing { bucket } else { 0 },
+                })
+            })
+            .collect()
+    }
+}
+
+/// One phase of a matching run: the outer iteration it belongs to and the
+/// degree bucket it scores.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Phase {
+    /// Outer iteration, counted from 1.
+    pub iteration: u32,
+    /// Bucket exponent `j`: the phase scores the nodes of degree at least
+    /// `2^j` on both sides. It also seeds the phase's LSH hash family.
+    pub bucket: u32,
+    /// The bucket [`crate::PhaseStats::bucket`] reports: `bucket`, or 0
+    /// when the schedule does not sweep degree buckets.
+    pub reported_bucket: u32,
+}
+
+impl Phase {
+    /// The phase's minimum degree, `2^bucket`.
+    pub fn min_degree(&self) -> usize {
+        1usize << self.bucket
+    }
 }
 
 #[cfg(test)]
@@ -167,6 +214,35 @@ mod tests {
             let json = serde_json::to_string(&c).unwrap();
             let c2: CandidateSource = serde_json::from_str(&json).unwrap();
             assert_eq!(c, c2);
+        }
+    }
+
+    #[test]
+    fn schedule_sweeps_buckets_high_to_low_in_every_iteration() {
+        let cfg = MatchingConfig::default().with_iterations(2);
+        // D = 40: floor(log2 40) = 5, so buckets 5..=1 twice.
+        let phases = cfg.schedule(40);
+        let coords: Vec<(u32, u32)> = phases.iter().map(|p| (p.iteration, p.bucket)).collect();
+        let expected: Vec<(u32, u32)> =
+            (1..=2).flat_map(|i| (1..=5).rev().map(move |b| (i, b))).collect();
+        assert_eq!(coords, expected);
+        assert!(phases.iter().all(|p| p.reported_bucket == p.bucket));
+        assert_eq!(phases[0].min_degree(), 32);
+        // An empty or edgeless graph still runs one phase per iteration.
+        assert_eq!(cfg.schedule(0).len(), 2);
+    }
+
+    #[test]
+    fn schedule_without_bucketing_is_one_phase_per_iteration_reported_as_zero() {
+        let cfg = MatchingConfig::default()
+            .with_iterations(3)
+            .with_degree_bucketing(false)
+            .with_min_bucket(2);
+        let phases = cfg.schedule(1_000);
+        assert_eq!(phases.len(), 3);
+        for (i, p) in phases.iter().enumerate() {
+            assert_eq!((p.iteration, p.bucket, p.reported_bucket), (i as u32 + 1, 2, 0));
+            assert_eq!(p.min_degree(), 4);
         }
     }
 

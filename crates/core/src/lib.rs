@@ -28,11 +28,12 @@
 //! * [`BaselineMatching`] — the "straightforward algorithm that just counts
 //!   the number of common neighbors" the paper compares against in §5;
 //! * [`Linking`] — the growing set of identification links;
-//! * witness-counting and mutual-best-selection primitives reusable by
-//!   downstream experiments, in two flavors: the sparse
-//!   [`witness::ScoreTable`] compatibility path and the hash-free
-//!   [`scoring`] arena engine (fused score + select) that the sequential
-//!   and rayon backends run on.
+//! * the [`scoring`] engine: one hash-free row kernel with mutual-best
+//!   selection fused into it, which every backend runs, plus the phase
+//!   [`MatchingConfig::schedule`] they all share;
+//! * the reference implementations the kernel is tested against: the
+//!   [`witness::ScoreTable`] counts of [`witness`] and the selection of
+//!   [`matching`].
 //!
 //! ## Example
 //!
@@ -82,6 +83,6 @@ pub mod witness;
 pub use algorithm::UserMatching;
 pub use backend::Backend;
 pub use baseline::BaselineMatching;
-pub use config::{CandidateSource, MatchingConfig};
+pub use config::{CandidateSource, MatchingConfig, Phase};
 pub use linking::Linking;
 pub use stats::{MatchingOutcome, PhaseStats};

@@ -15,9 +15,7 @@
 //! precision, in the same spirit as the paper's threshold.
 
 use crate::witness::ScoreTable;
-use rayon::prelude::*;
 use snr_graph::NodeId;
-use snr_mapreduce::Engine;
 use std::collections::HashMap;
 
 /// The best partner found for one node: the partner id, the score, and
@@ -53,8 +51,9 @@ impl Best {
     /// Combines the best partners found over two disjoint sets of candidate
     /// entries. Because the sets are disjoint, an equal best score across
     /// the two halves means two distinct partners tie, so the merged best is
-    /// not unique. This makes the parallel reduction produce exactly the
-    /// state `consider` would reach sequentially, in any partition order.
+    /// not unique. This makes the per-worker sinks of
+    /// [`crate::scoring::SelectSink`] merge to exactly the state `consider`
+    /// would reach sequentially, in any partition order.
     pub(crate) fn merge(self, other: Best) -> Best {
         match self.score.cmp(&other.score) {
             std::cmp::Ordering::Greater => self,
@@ -80,32 +79,6 @@ fn accumulate_entry(tables: &mut BestTables, u: u32, v: u32, score: u32) {
         score,
         unique: true,
     });
-}
-
-fn merge_tables(mut into: BestTables, from: BestTables) -> BestTables {
-    for (node, best) in from.0 {
-        match into.0.entry(node) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged = e.get().merge(best);
-                *e.get_mut() = merged;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(best);
-            }
-        }
-    }
-    for (node, best) in from.1 {
-        match into.1.entry(node) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let merged = e.get().merge(best);
-                *e.get_mut() = merged;
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(best);
-            }
-        }
-    }
-    into
 }
 
 /// Selects the mutual-best pairs out of completed best-partner tables.
@@ -140,82 +113,6 @@ pub fn mutual_best_pairs(scores: &ScoreTable, threshold: u32) -> Vec<(NodeId, No
         accumulate_entry(&mut tables, u, v, score);
     }
     select_mutual(&tables, threshold)
-}
-
-/// The same selection with the best-partner tables built in parallel: the
-/// score table is streamed directly to rayon workers (batched shard
-/// iteration — no up-front copy of the whole table into a `Vec`), each
-/// worker accumulates partial tables, and partials are merged with
-/// [`Best::merge`] (which preserves tie-abstention across partition
-/// boundaries). Produces exactly the same pairs as [`mutual_best_pairs`] —
-/// this is what makes [`crate::Backend::Rayon`] bit-for-bit equivalent to
-/// the sequential backend through the whole phase, not just witness
-/// counting.
-pub fn mutual_best_pairs_rayon(scores: &ScoreTable, threshold: u32) -> Vec<(NodeId, NodeId)> {
-    let threshold = threshold.max(1);
-    let _span = snr_telemetry::span!("select", entries = scores.len(), threshold = threshold);
-    let tables = scores
-        .par_iter()
-        .fold(
-            || (HashMap::new(), HashMap::new()),
-            |mut tables: BestTables, (&(u, v), &score)| {
-                accumulate_entry(&mut tables, u, v, score);
-                tables
-            },
-        )
-        .reduce(|| (HashMap::new(), HashMap::new()), merge_tables);
-    select_mutual(&tables, threshold)
-}
-
-/// The same mutual-best selection expressed on the MapReduce engine.
-///
-/// The pre-arena implementation spent three engine rounds on this (best per
-/// copy-1 node, best per copy-2 node, join on the pair key — the paper's
-/// rounds 2–4). On the arena engine it is a single
-/// [`Engine::run_combined`] round: score entries are packed into
-/// `(u, (v, score))` records ([`crate::scoring::pack_entry`]),
-/// range-partitioned by `u` so every reduce partition owns whole rows, and
-/// folded straight into a [`crate::scoring::SelectSink`] per partition; the
-/// per-partition sinks merge with the tie-abstaining [`Best::merge`],
-/// exactly as the rayon backend's per-worker sinks do.
-///
-/// Produces exactly the same pairs as [`mutual_best_pairs`]. (Inside
-/// [`crate::UserMatching`]'s MapReduce backend this selection no longer runs
-/// as its own round at all — [`crate::scoring::mapreduce_fused_phase`] fuses
-/// it into the witness-scoring reduce — so this entry point exists for
-/// callers that already hold a [`ScoreTable`].)
-///
-/// # Errors
-///
-/// Fails with [`snr_mapreduce::EngineError`] only when the engine carries a
-/// spill budget and the round's spill I/O fails or a run file is corrupt;
-/// an engine without a budget never returns `Err`.
-pub fn mapreduce_mutual_best(
-    engine: &Engine,
-    scores: &ScoreTable,
-    threshold: u32,
-) -> Result<Vec<(NodeId, NodeId)>, snr_mapreduce::EngineError> {
-    use crate::scoring::{pack_entry, run_select_round};
-
-    let n1 = scores.keys().map(|&(u, _)| u as usize + 1).max().unwrap_or(0);
-    let n2 = scores.keys().map(|&(_, v)| v as usize + 1).max().unwrap_or(0);
-    let records: Vec<(u32, u64)> =
-        scores.iter().map(|(&(u, v), &s)| (u, pack_entry(v, s))).collect();
-    run_select_round(
-        engine,
-        "mutual-select",
-        records,
-        // Mappers emit one single-entry row fragment per score entry; the
-        // engine's combiner aggregates each map task's fragments into one
-        // duplicate-free row record per `u` before the shuffle — the
-        // classic combiner win, measured by `map_output_records` vs
-        // `shuffled_records` on the round.
-        |chunk: &[(u32, u64)]| chunk.iter().map(|&(u, packed)| (u, vec![packed])).collect(),
-        n1,
-        n2,
-        threshold,
-    )
-    .map(|(_, pairs)| pairs)
 }
 
 #[cfg(test)]
@@ -297,86 +194,25 @@ mod tests {
     }
 
     #[test]
-    fn rayon_selection_matches_sequential_selection() {
-        let mut entries = Vec::new();
-        for u in 0..40u32 {
-            for v in 0..40u32 {
-                let s = (u * 19 + v * 23) % 7;
-                if s > 0 {
-                    entries.push(((u, v), s));
-                }
-            }
-        }
-        let scores = table(&entries);
-        for threshold in [1, 2, 4, 6] {
-            assert_eq!(
-                mutual_best_pairs_rayon(&scores, threshold),
-                mutual_best_pairs(&scores, threshold),
-                "mismatch at threshold {threshold}"
-            );
-        }
-    }
-
-    #[test]
-    fn rayon_selection_abstains_on_ties_like_sequential() {
-        // Ties that only become visible when partial tables are merged:
-        // every node has exactly two partners with the same score, so every
-        // candidate must abstain no matter how the entries are partitioned.
-        let mut entries = Vec::new();
-        for u in 0..64u32 {
-            entries.push(((u, u), 5));
-            entries.push(((u, (u + 1) % 64), 5));
-        }
-        let scores = table(&entries);
-        assert!(mutual_best_pairs(&scores, 1).is_empty());
-        assert!(mutual_best_pairs_rayon(&scores, 1).is_empty());
-    }
-
-    #[test]
-    fn mapreduce_selection_matches_in_memory_selection() {
-        let mut entries = Vec::new();
-        for u in 0..30u32 {
-            for v in 0..30u32 {
-                let s = (u * 31 + v * 17) % 11;
-                if s > 0 {
-                    entries.push(((u, v), s));
-                }
-            }
-        }
-        let scores = table(&entries);
-        let engine = Engine::new(3).with_chunk_size(16);
-        for threshold in [1, 2, 4, 8] {
-            let expected = mutual_best_pairs(&scores, threshold);
-            let got = mapreduce_mutual_best(&engine, &scores, threshold).unwrap();
-            assert_eq!(got, expected, "mismatch at threshold {threshold}");
-        }
+    fn merged_halves_abstain_on_ties_like_one_pass() {
+        // Two partners with the same top score, seen by different workers:
+        // the merge must abstain exactly as one sequential pass does.
+        let mut one_pass = Best { partner: 4, score: 5, unique: true };
+        one_pass.consider(2, 5);
+        let merged = Best { partner: 4, score: 5, unique: true }.merge(Best {
+            partner: 2,
+            score: 5,
+            unique: true,
+        });
+        assert_eq!(merged, one_pass);
+        assert_eq!(merged, Best { partner: 2, score: 5, unique: false });
+        // A strictly better half wins and keeps its own uniqueness flag.
+        let better = Best { partner: 7, score: 6, unique: true };
+        assert_eq!(merged.merge(better), better);
+        assert_eq!(better.merge(merged), better);
     }
 
     proptest::proptest! {
-        #[test]
-        fn mapreduce_and_sequential_agree_on_random_tables(
-            entries in proptest::collection::vec(((0u32..15, 0u32..15), 1u32..6), 0..80),
-            threshold in 1u32..4,
-        ) {
-            let scores: ScoreTable = entries.into_iter().collect();
-            let engine = Engine::new(2).with_chunk_size(8);
-            let expected = mutual_best_pairs(&scores, threshold);
-            let got = mapreduce_mutual_best(&engine, &scores, threshold).unwrap();
-            proptest::prop_assert_eq!(got, expected);
-        }
-
-        #[test]
-        fn rayon_and_sequential_agree_on_random_tables(
-            entries in proptest::collection::vec(((0u32..15, 0u32..15), 1u32..6), 0..80),
-            threshold in 1u32..4,
-        ) {
-            let scores: ScoreTable = entries.into_iter().collect();
-            proptest::prop_assert_eq!(
-                mutual_best_pairs_rayon(&scores, threshold),
-                mutual_best_pairs(&scores, threshold)
-            );
-        }
-
         #[test]
         fn selected_pairs_always_meet_threshold(
             entries in proptest::collection::vec(((0u32..10, 0u32..10), 1u32..9), 0..60),

@@ -1,56 +1,48 @@
-//! The arena-based witness-scoring engine — the fast path of every phase.
+//! The witness-scoring engine — the one kernel every phase runs on.
 //!
-//! [`crate::witness::count_sequential`] materializes a global
-//! `HashMap<(u32, u32), u32>` and pays one hash probe per witness
-//! contribution, i.e. per element of `Σ_{(w1,w2)∈L} d1(w1)·d2(w2)`. That
-//! probe is the dominant cost of the whole algorithm at R-MAT-16 and above.
-//! This module removes it with a data-layout change:
+//! A phase scores every degree-eligible, unlinked candidate pair `(u, v)`
+//! by its number of similarity witnesses and keeps the mutual bests. This
+//! module does that without a hash table:
 //!
-//! * **Candidate-centric rows.** Instead of iterating links and scattering
-//!   `(u, v)` contributions, we iterate the candidate copy-1 nodes `u`. Each
-//!   row `score(u, ·)` depends only on `u`'s own neighborhood, so rows are
-//!   independent: workers own disjoint sets of rows and the parallel path
-//!   needs no merge of overlapping tables.
+//! * **Candidate-centric rows.** We iterate the candidate copy-1 nodes `u`.
+//!   Each row `score(u, ·)` depends only on `u`'s own neighborhood, so rows
+//!   are independent: workers own disjoint sets of rows and the parallel
+//!   path needs no merge of overlapping tables.
 //! * **[`LinkCache`]** decodes, once per phase, the threshold-filtered
 //!   copy-2 neighbor list of every linked pair `(w1, w2)` into one flat
 //!   arena, and maps `w1` to its slice in O(1). Scoring a row is then a pure
-//!   slice scan — no per-link block decoding (this is what closes the
-//!   `CompactCsr` gap) and no hashing.
+//!   slice scan — no per-link block decoding and no hashing.
 //! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
 //!   scratch (`scores[v]`, `stamp[v]`, `touched`). Starting a row is O(1)
 //!   (bump the epoch), and a contribution is one array increment.
-//! * **[`ScoreSink`]** receives each finished row. [`TableSink`] rebuilds
-//!   the classic sparse [`ScoreTable`] (the compatibility path used by the
-//!   equivalence tests); [`SelectSink`] fuses mutual-best selection into row
-//!   finalization — it keeps each row's argmax and a per-`v` running best,
-//!   so the full score table is never materialized on the fast path.
+//! * **[`score_row`]** is the row kernel: it fills the arena with one row.
+//!   The sequential, rayon, MapReduce, driver and LSH-verify paths all call
+//!   it; they differ only in which rows they score and where the rows go.
+//! * **[`SelectSink`]** fuses mutual-best selection into row finalization:
+//!   it keeps each row's argmax and a per-`v` running best, so no score
+//!   table is ever materialized.
 //!
 //! The fused output is bit-for-bit identical to
-//! `mutual_best_pairs(&count_sequential(..), t)`: per-row bests are exact
-//! (each worker sees whole rows), and per-`v` bests merge with
-//! [`Best::merge`], which is associative, commutative, and preserves
-//! tie-abstention across worker boundaries.
+//! `mutual_best_pairs(&count_sequential(..), t)` from the reference
+//! implementations in [`crate::witness`]: per-row bests are exact (each
+//! worker sees whole rows), and per-`v` bests merge with [`Best::merge`],
+//! which is associative, commutative, and preserves tie-abstention across
+//! worker boundaries. `crates/core/tests/arena_scorer.rs` pins the kernel's
+//! rows and the fused selection against `count_brute_force`.
 //!
-//! # The MapReduce rounds run on the same engine
+//! # The MapReduce round runs the same kernel
 //!
 //! [`mapreduce_fused_phase`] expresses one whole phase as a single
-//! [`snr_mapreduce::Engine::run_combined`] round built from the same pieces:
-//! map tasks score contiguous chunks of candidate rows through a task-local
-//! [`LinkCache`] + [`ScoreArena`] (each linked neighbor list is decoded once
-//! per task, not once per contribution) and emit one already-aggregated
-//! record per candidate *row* — a dense `u32` key plus the row's packed
-//! `(v, count)` entries — instead of one `((u, v), 1)` record per *witness
-//! contribution* as the pre-arena rounds did. That collapses the shuffled
-//! record count by orders of magnitude (measured 938× at the RMAT-16
-//! witness pass) and the shuffled bytes from 12 per contribution to 8 per
-//! scored pair. The shuffle range-partitions by `u`, so each reduce
+//! [`snr_mapreduce::Engine::run_combined_spilling`] round: map tasks score
+//! contiguous chunks of candidate rows through a task-local [`LinkCache`] +
+//! [`ScoreArena`] and emit one already-aggregated record per candidate
+//! *row* — a dense `u32` key plus the row's packed `(v, count)` entries at
+//! 8 bytes each. The shuffle range-partitions by `u`, so each reduce
 //! partition owns whole rows in ascending order and folds them straight
-//! into a [`SelectSink`] — the MapReduce backend never materializes a
-//! global score table either.
+//! into a [`SelectSink`].
 
 use crate::linking::Linking;
 use crate::matching::Best;
-use crate::witness::ScoreTable;
 use rayon::prelude::*;
 use snr_graph::{GraphError, GraphView, NodeId};
 use snr_mapreduce::partition::range_partition;
@@ -172,6 +164,28 @@ impl LinkCache {
         LinkCache { slot, offsets, targets }
     }
 
+    /// The per-phase build of every phase entry point: [`LinkCache::build_parallel`]
+    /// when `parallel`, else [`LinkCache::build`], inside the `link_cache`
+    /// span and with the build time added to `CacheBuildMicros`.
+    pub(crate) fn build_for_phase<G2: GraphView + Sync>(
+        g2: &G2,
+        links: &Linking,
+        min_deg2: usize,
+        parallel: bool,
+    ) -> LinkCache {
+        let _span = snr_telemetry::span!("link_cache", links = links.len());
+        let t = snr_telemetry::enabled().then(std::time::Instant::now);
+        let cache = if parallel {
+            LinkCache::build_parallel(g2, links, min_deg2)
+        } else {
+            LinkCache::build(g2, links, min_deg2)
+        };
+        if let Some(t) = t {
+            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
+        }
+        cache
+    }
+
     /// The cached eligible copy-2 neighbors of `w1`'s link partner, or
     /// `None` if `w1` is not linked.
     #[inline]
@@ -268,58 +282,8 @@ impl ScoreArena {
     }
 }
 
-/// Consumer of finished candidate rows.
-///
-/// The scoring drivers call [`ScoreSink::row`] once per candidate `u` whose
-/// row has at least one non-zero entry, then combine per-worker sinks with
-/// [`ScoreSink::merge`]. Implementations must be order-independent: rows
-/// arrive in ascending `u` order within a worker, but worker merge order is
-/// unspecified.
-pub trait ScoreSink: Sized + Send {
-    /// Consumes one finished row; read it via `arena.touched()` /
-    /// `arena.get(v)`.
-    fn row(&mut self, u: u32, arena: &ScoreArena);
-
-    /// Folds another worker's sink into this one.
-    fn merge(&mut self, other: Self);
-}
-
-/// [`ScoreSink`] that rebuilds the sparse [`ScoreTable`] — the
-/// compatibility path for the oracle/equivalence tests and any caller that
-/// needs the whole table.
-#[derive(Default)]
-pub struct TableSink {
-    table: ScoreTable,
-}
-
-impl TableSink {
-    /// The accumulated score table.
-    pub fn into_table(self) -> ScoreTable {
-        self.table
-    }
-}
-
-impl ScoreSink for TableSink {
-    fn row(&mut self, u: u32, arena: &ScoreArena) {
-        // Rows are disjoint, so these inserts never probe an occupied key;
-        // geometric growth amortizes better than per-row reserves.
-        for &v in arena.touched() {
-            self.table.insert((u, v), arena.get(v));
-        }
-    }
-
-    fn merge(&mut self, mut other: Self) {
-        // Workers own disjoint rows, so this is a plain union; iterate the
-        // smaller table into the larger, pre-reserved one.
-        if other.table.len() > self.table.len() {
-            std::mem::swap(&mut self.table, &mut other.table);
-        }
-        self.table.reserve(other.table.len());
-        self.table.extend(other.table);
-    }
-}
-
-/// [`ScoreSink`] that fuses mutual-best selection into row finalization.
+/// Consumer of finished candidate rows that fuses mutual-best selection
+/// into row finalization.
 ///
 /// Finishing a row computes its argmax (the row is complete, so the
 /// strict-uniqueness flag is exact) and folds every entry into a dense
@@ -386,6 +350,30 @@ impl SelectSink {
         }
     }
 
+    /// Consumes the finished row `u` held in `arena` (see [`score_row`]).
+    /// Empty rows are skipped — they would not appear in a sparse table
+    /// either.
+    #[inline]
+    pub fn row(&mut self, u: u32, arena: &ScoreArena) {
+        if !arena.touched().is_empty() {
+            self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
+        }
+    }
+
+    /// Folds another worker's sink into this one. Rows arrive in ascending
+    /// `u` order within a worker, but the sinks merge order-independently:
+    /// workers score disjoint `u` rows and share the `v` axis, whose bests
+    /// merge with the tie-abstaining `Best::merge`.
+    pub fn merge(&mut self, mut other: SelectSink) {
+        self.scored_pairs += other.scored_pairs;
+        self.claims.append(&mut other.claims);
+        for (mine, theirs) in self.best_v.iter_mut().zip(other.best_v) {
+            if theirs.score > 0 {
+                *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
+            }
+        }
+    }
+
     /// Reduce-side entry point: consumes one complete row of packed
     /// `(v, count)` entries (see [`pack_entry`]), as shuffled by the
     /// MapReduce witness round.
@@ -413,7 +401,7 @@ impl SelectSink {
     }
 
     /// Folds a worker's serialized claims into this sink — the wire-format
-    /// counterpart of [`ScoreSink::merge`]. Absorbing the [`SinkClaims`] of
+    /// counterpart of [`SelectSink::merge`]. Absorbing the [`SinkClaims`] of
     /// per-row-range sinks that together tile the candidate rows leaves this
     /// sink bit-identical to one that scored every row locally: claim order
     /// is irrelevant ([`SelectSink::finish`] sorts), `scored_pairs` is a
@@ -604,25 +592,6 @@ impl SinkClaims {
     }
 }
 
-impl ScoreSink for SelectSink {
-    fn row(&mut self, u: u32, arena: &ScoreArena) {
-        self.row_entries(u, arena.touched().iter().map(|&v| (v, arena.get(v))));
-    }
-
-    fn merge(&mut self, mut other: Self) {
-        self.scored_pairs += other.scored_pairs;
-        self.claims.append(&mut other.claims);
-        // Workers score disjoint `u` rows but share the `v` axis; the
-        // per-`v` bests merge with the tie-abstaining, order-independent
-        // `Best::merge`.
-        for (mine, theirs) in self.best_v.iter_mut().zip(other.best_v) {
-            if theirs.score > 0 {
-                *mine = if mine.score > 0 { mine.merge(theirs) } else { theirs };
-            }
-        }
-    }
-}
-
 /// Collects the phase's candidate copy-1 nodes: degree at least `min_deg1`
 /// and not yet linked, in ascending id order.
 pub(crate) fn collect_candidates<G1: GraphView>(
@@ -750,26 +719,25 @@ fn chunk_candidates<'a, G1: GraphView>(
     chunks
 }
 
-/// Scores one candidate row into `arena` and hands it to the sink (empty
-/// rows are skipped — they would not appear in a sparse table either).
+/// The row kernel: scores candidate row `u` of `g1` into `arena` — one
+/// [`ScoreArena::bump`] per cached eligible copy-2 neighbor of every linked
+/// neighbor `w1` of `u`. Afterwards `arena.touched()` lists the row's
+/// non-zero entries and `arena.get(v)` their witness counts: exactly row
+/// `u` of the reference table. Every scoring path of a phase (sequential,
+/// rayon, MapReduce, the shard driver and LSH verification) runs this one
+/// loop; it is public so tests can read rows straight from the arena.
+///
+/// `u` is addressed in `g1`'s own id space (a row-range view passes its
+/// local id); the neighbor ids `g1` yields are global.
 #[inline]
-fn score_row<G1: GraphView, S: ScoreSink>(
-    g1: &G1,
-    cache: &LinkCache,
-    u: u32,
-    arena: &mut ScoreArena,
-    sink: &mut S,
-) {
+pub fn score_row<G1: GraphView>(g1: &G1, cache: &LinkCache, u: NodeId, arena: &mut ScoreArena) {
     arena.begin_row();
-    for w1 in g1.neighbors_iter(NodeId(u)) {
+    for w1 in g1.neighbors_iter(u) {
         if let Some(vs) = cache.eligible_of(w1) {
             for &v in vs {
                 arena.bump(v);
             }
         }
-    }
-    if !arena.touched().is_empty() {
-        sink.row(u, arena);
     }
 }
 
@@ -787,7 +755,7 @@ fn score_row<G1: GraphView, S: ScoreSink>(
 /// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase`]
 /// bit-for-bit.
 #[allow(clippy::too_many_arguments)]
-pub fn score_assigned_rows<G1, S>(
+pub fn score_assigned_rows<G1: GraphView>(
     g1_rows: &G1,
     base: u32,
     local_rows: std::ops::Range<u32>,
@@ -795,11 +763,8 @@ pub fn score_assigned_rows<G1, S>(
     links: &Linking,
     min_deg1: usize,
     arena: &mut ScoreArena,
-    sink: &mut S,
-) where
-    G1: GraphView,
-    S: ScoreSink,
-{
+    sink: &mut SelectSink,
+) {
     // A worker reads exactly this row range; tell mmap-backed views to
     // prefetch it (no-op for in-memory views).
     g1_rows.advise_rows(local_rows.clone());
@@ -808,17 +773,8 @@ pub fn score_assigned_rows<G1, S>(
         if g1_rows.degree(NodeId(local)) < min_deg1 || links.is_linked_g1(NodeId(global)) {
             continue;
         }
-        arena.begin_row();
-        for w1 in g1_rows.neighbors_iter(NodeId(local)) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
-        if !arena.touched().is_empty() {
-            sink.row(global, arena);
-        }
+        score_row(g1_rows, cache, NodeId(local), arena);
+        sink.row(global, arena);
     }
 }
 
@@ -827,13 +783,13 @@ pub fn score_assigned_rows<G1, S>(
 ///
 /// `pairs` must be sorted by `(u, v)` and duplicate-free (what
 /// `snr_sketch::propose_pairs` emits). For each distinct `u` the full row
-/// is accumulated into `arena` through the same [`LinkCache`] walk as
-/// [`score_assigned_rows`] — so every score handed on is *exact* — but only
-/// the proposed `(u, v)` entries with a non-zero score reach the sink. The
-/// sink therefore selects mutual bests over the blocked candidate set, and
-/// its `scored_pairs` statistic counts proposed non-zero pairs: the number
-/// blocking actually sent to selection, the quantity the recall/speed
-/// sweeps compare against the exact path's scored-pair count.
+/// is accumulated into `arena` by [`score_row`] — so every score handed on
+/// is *exact* — but only the proposed `(u, v)` entries with a non-zero
+/// score reach the sink. The sink therefore selects mutual bests over the
+/// blocked candidate set, and its `scored_pairs` statistic counts proposed
+/// non-zero pairs: the number blocking actually sent to selection, the
+/// quantity the recall/speed sweeps compare against the exact path's
+/// scored-pair count.
 pub fn score_pair_list<G1: GraphView>(
     g1: &G1,
     cache: &LinkCache,
@@ -849,14 +805,7 @@ pub fn score_pair_list<G1: GraphView>(
         while j < pairs.len() && pairs[j].0 == u {
             j += 1;
         }
-        arena.begin_row();
-        for w1 in g1.neighbors_iter(NodeId(u)) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
+        score_row(g1, cache, NodeId(u), arena);
         entries.clear();
         for &(_, v) in &pairs[i..j] {
             if let Some(score) = arena.current(v) {
@@ -870,91 +819,41 @@ pub fn score_pair_list<G1: GraphView>(
     }
 }
 
-/// Runs one phase of arena scoring and returns the merged sink.
+/// Runs one exact phase over a caller-supplied candidate list (ascending
+/// copy-1 ids, already degree-eligible and unlinked — what
+/// [`CandidateCache::eligible`] returns) and [`LinkCache`] (with `n2`, the
+/// copy-2 node count the cache was built against), returning the merged
+/// sink. This is the phase entry `UserMatching` runs on the sequential and
+/// rayon backends, and the exact arm of the adaptive blocking gate.
 ///
 /// `parallel = false` scores every row on the calling thread; `parallel =
 /// true` partitions the candidate rows across rayon workers (each with a
 /// private arena and sink) and merges the per-worker sinks. Both paths feed
-/// identical rows to identical sinks, so any [`ScoreSink`] observes the
-/// same multiset of rows either way.
-pub fn score_phase<G1, G2, S, F>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    parallel: bool,
-    make_sink: F,
-) -> S
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-    S: ScoreSink,
-    F: Fn() -> S + Sync,
-{
-    let candidates = collect_candidates(g1, links, min_deg1);
-    score_phase_on(g1, g2, links, &candidates, min_deg2, parallel, make_sink)
-}
-
-/// [`score_phase`] over a caller-supplied candidate list (ascending copy-1
-/// ids, already degree-eligible and unlinked) — the entry point
-/// `UserMatching` uses with its per-run [`CandidateCache`], skipping the
-/// per-phase full degree rescan.
-pub fn score_phase_on<G1, G2, S, F>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    candidates: &[u32],
-    min_deg2: usize,
-    parallel: bool,
-    make_sink: F,
-) -> S
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-    S: ScoreSink,
-    F: Fn() -> S + Sync,
-{
-    let cache = {
-        let _span = snr_telemetry::span!("link_cache", links = links.len());
-        let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = if parallel {
-            LinkCache::build_parallel(g2, links, min_deg2)
-        } else {
-            LinkCache::build(g2, links, min_deg2)
-        };
-        if let Some(t) = t {
-            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
-        }
-        cache
-    };
-    score_phase_cached(g1, &cache, g2.node_count(), candidates, parallel, make_sink)
-}
-
-/// [`score_phase_on`] over a caller-supplied [`LinkCache`] (and `n2`, the
-/// copy-2 node count the cache was built against) — lets a caller that
-/// needs the cache for its own bookkeeping (the adaptive blocking gate)
-/// build it once and still run the exact phase on it.
-pub fn score_phase_cached<G1, S, F>(
+/// identical rows to identical sinks, so the finished selection is the same
+/// either way.
+pub fn score_phase_cached<G1, F>(
     g1: &G1,
     cache: &LinkCache,
     n2: usize,
     candidates: &[u32],
     parallel: bool,
     make_sink: F,
-) -> S
+) -> SelectSink
 where
     G1: GraphView + Sync,
-    S: ScoreSink,
-    F: Fn() -> S + Sync,
+    F: Fn() -> SelectSink + Sync,
 {
-    if !parallel || candidates.len() < PARALLEL_CUTOFF {
+    let score_rows = |rows: &[u32]| {
         let mut arena = ScoreArena::new(n2);
         let mut sink = make_sink();
-        for &u in candidates {
-            score_row(g1, cache, u, &mut arena, &mut sink);
+        for &u in rows {
+            score_row(g1, cache, NodeId(u), &mut arena);
+            sink.row(u, &arena);
         }
         sink
+    };
+    if !parallel || candidates.len() < PARALLEL_CUTOFF {
+        score_rows(candidates)
     } else {
         // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
         // sharded view — chunked here rather than by the scheduler, so
@@ -966,17 +865,7 @@ where
         // regardless).
         let workers = rayon::current_num_threads().max(1);
         let chunks = chunk_candidates(g1, candidates, workers);
-        let sinks: Vec<S> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut arena = ScoreArena::new(n2);
-                let mut sink = make_sink();
-                for &u in *chunk {
-                    score_row(g1, cache, u, &mut arena, &mut sink);
-                }
-                sink
-            })
-            .collect();
+        let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_rows(chunk)).collect();
         let mut iter = sinks.into_iter();
         let mut acc = iter.next().expect("candidate set is non-empty in the parallel branch");
         for other in iter {
@@ -986,14 +875,13 @@ where
     }
 }
 
-/// One fused phase: witness scoring and mutual-best selection in a single
-/// pass, without materializing a [`ScoreTable`].
+/// One whole fused phase: collects the candidates, builds the
+/// [`LinkCache`], and runs witness scoring and mutual-best selection in a
+/// single pass ([`score_phase_cached`]) without materializing a score table.
 ///
 /// Returns `(scored_pairs, selected_pairs)` where `scored_pairs` equals the
-/// length of the table the compatibility path would have built and
-/// `selected_pairs` equals `mutual_best_pairs(&table, threshold)` (ascending
-/// `(u, v)` order). This is the phase kernel `UserMatching` runs on the
-/// sequential and rayon backends.
+/// length of `count_sequential`'s table and `selected_pairs` equals
+/// `mutual_best_pairs(&table, threshold)` (ascending `(u, v)` order).
 pub fn fused_phase<G1, G2>(
     g1: &G1,
     g2: &G2,
@@ -1007,53 +895,16 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
+    let candidates = collect_candidates(g1, links, min_deg1);
+    let cache = LinkCache::build_for_phase(g2, links, min_deg2, parallel);
     let n2 = g2.node_count();
-    score_phase(g1, g2, links, min_deg1, min_deg2, parallel, || SelectSink::new(n2, threshold))
-        .finish()
-}
-
-/// [`fused_phase`] over a caller-supplied candidate list (see
-/// [`score_phase_on`]): same bits, no per-phase candidate rescan.
-pub fn fused_phase_on<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    candidates: &[u32],
-    min_deg2: usize,
-    threshold: u32,
-    parallel: bool,
-) -> (usize, Vec<(NodeId, NodeId)>)
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    let n2 = g2.node_count();
-    score_phase_on(g1, g2, links, candidates, min_deg2, parallel, || SelectSink::new(n2, threshold))
-        .finish()
-}
-
-/// [`fused_phase_on`] over a caller-supplied [`LinkCache`] (see
-/// [`score_phase_cached`]): the exact fallback arm of the adaptive blocking
-/// gate, which has already built the cache to estimate the phase's cost.
-pub fn fused_phase_cached<G1>(
-    g1: &G1,
-    cache: &LinkCache,
-    n2: usize,
-    candidates: &[u32],
-    threshold: u32,
-    parallel: bool,
-) -> (usize, Vec<(NodeId, NodeId)>)
-where
-    G1: GraphView + Sync,
-{
-    score_phase_cached(g1, cache, n2, candidates, parallel, || SelectSink::new(n2, threshold))
+    score_phase_cached(g1, &cache, n2, &candidates, parallel, || SelectSink::new(n2, threshold))
         .finish()
 }
 
 /// Packs a `(v, count)` score entry into one shuffle-friendly `u64`: the
-/// copy-2 node id in the high half, the witness count in the low half.
-/// Ordering packed entries orders them by `v` first, which is what lets the
-/// combiner merge duplicates with one sort.
+/// copy-2 node id in the high half, the witness count in the low half, so
+/// packed entries order by `v` first.
 #[inline]
 pub fn pack_entry(v: u32, count: u32) -> u64 {
     ((v as u64) << 32) | count as u64
@@ -1065,70 +916,18 @@ pub fn unpack_entry(packed: u64) -> (u32, u32) {
     ((packed >> 32) as u32, packed as u32)
 }
 
-/// Merges packed entries with the same `v` by summing their counts (sorting
-/// the row by `v` as a side effect). Used by the combiner and the reduce
-/// when a row arrives in pieces.
-pub(crate) fn combine_packed_row(entries: &mut Vec<u64>) {
-    if entries.len() <= 1 {
-        return;
-    }
-    entries.sort_unstable();
-    let mut w = 0usize;
-    for i in 1..entries.len() {
-        if entries[i] >> 32 == entries[w] >> 32 {
-            entries[w] += entries[i] & 0xFFFF_FFFF;
-        } else {
-            w += 1;
-            entries.swap(w, i);
-        }
-    }
-    entries.truncate(w + 1);
-}
-
-/// Combiner for the packed-row rounds: a map task that emitted row `u` in
-/// fragments gets them collapsed into one duplicate-free record before the
-/// shuffle. Production witness mappers already aggregate per task (a
-/// candidate row is scored by exactly one map task, so there is exactly one
-/// fragment and this is the identity); table-fed rounds like
-/// `mapreduce_mutual_best` emit one single-entry fragment per score entry
-/// and rely on this to aggregate — either way, duplicate-free rows are a
-/// property the combiner *enforces*, not one the reduce has to trust.
-pub(crate) fn combine_row_fragments(fragments: &mut Vec<Vec<u64>>) {
-    if fragments.len() <= 1 {
-        return;
-    }
-    let mut merged = std::mem::take(&mut fragments[0]);
-    for fragment in fragments.drain(1..) {
-        merged.extend(fragment);
-    }
-    combine_packed_row(&mut merged);
-    fragments[0] = merged;
-}
-
-/// Flattens a key group's post-combine fragments (one per map task) back
-/// into a single duplicate-free row for the reduce.
-pub(crate) fn merge_row_fragments(mut fragments: Vec<Vec<u64>>) -> Vec<u64> {
-    if fragments.len() == 1 {
-        return fragments.pop().expect("length checked");
-    }
-    let mut merged: Vec<u64> = fragments.into_iter().flatten().collect();
-    combine_packed_row(&mut merged);
-    merged
-}
-
 /// Shuffle payload size of one packed-row record: a dense `u32` key plus
 /// 8 bytes per scored pair.
 pub(crate) fn packed_row_bytes(row: &[u64]) -> usize {
     4 + 8 * row.len()
 }
 
-/// Combiner-mapper kernel of the MapReduce witness rounds: scores a
-/// contiguous chunk of candidate copy-1 rows through a *task-local*
-/// [`LinkCache`] + [`ScoreArena`] (each linked neighbor list is decoded
-/// once per task instead of once per contribution — in a real cluster this
-/// is the map-side join against the broadcast link set) and emits one
-/// already-aggregated `(u, packed (v, count) row)` record per non-empty
-/// candidate row.
+/// Mapper kernel of the MapReduce witness round: scores a contiguous chunk
+/// of candidate copy-1 rows through a *task-local* [`LinkCache`] +
+/// [`ScoreArena`] (each linked neighbor list is decoded once per task — in
+/// a real cluster this is the map-side join against the broadcast link set)
+/// and emits one already-aggregated `(u, packed (v, count) row)` record per
+/// non-empty candidate row.
 pub(crate) fn score_chunk_to_rows<G1, G2>(
     g1: &G1,
     g2: &G2,
@@ -1144,14 +943,7 @@ where
     let mut arena = ScoreArena::new(g2.node_count());
     let mut out = Vec::new();
     for &u in chunk {
-        arena.begin_row();
-        for w1 in g1.neighbors_iter(NodeId(u)) {
-            if let Some(vs) = cache.eligible_of(w1) {
-                for &v in vs {
-                    arena.bump(v);
-                }
-            }
-        }
+        score_row(g1, &cache, NodeId(u), &mut arena);
         let touched = arena.touched();
         if !touched.is_empty() {
             let row: Vec<u64> = touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect();
@@ -1162,29 +954,27 @@ where
 }
 
 /// One phase of User-Matching as a single MapReduce round on the arena
-/// engine: combiner mappers, packed shuffle, fused select reduce.
+/// engine: row-scoring mappers, packed shuffle, fused select reduce.
 ///
 /// * **Map** — each task scores a contiguous chunk of candidate copy-1 rows
 ///   via [`score_chunk_to_rows`], emitting one pre-aggregated record per
 ///   candidate row: a dense `u32` key and the row's packed `(v, count)`
-///   entries. The pre-arena round shuffled one `((u, v), 1)` record per
-///   witness *contribution*; this one shuffles one record per *row*.
+///   entries.
 /// * **Shuffle** — records are range-partitioned by `u`
 ///   ([`range_partition`]), so a reduce partition owns a contiguous row
-///   range in ascending order; the engine's combiner hook
-///   (`combine_row_fragments`) keeps rows whole and duplicate-free however
-///   a mapper emitted them.
+///   range in ascending order.
 /// * **Reduce** — each partition folds its rows straight into a
 ///   [`SelectSink`]; the per-partition sinks merge exactly like the rayon
 ///   backend's per-worker sinks ([`Best::merge`] is associative and
-///   tie-abstention-preserving), so no global [`ScoreTable`] is ever built.
+///   tie-abstention-preserving), so no global score table is ever built.
 ///
 /// Returns `(scored_pairs, selected_pairs)`, bit-for-bit identical to
 /// [`fused_phase`] and therefore to
 /// `mutual_best_pairs(&count_sequential(..), threshold)`. Where the paper
 /// sketches this phase as 4 MapReduce rounds (score, best-per-`u`,
-/// best-per-`v`, join), the combiner + range partitioning collapse it into
-/// one round per phase — `O(k log D)` rounds total.
+/// best-per-`v`, join), row aggregation in the mappers and range
+/// partitioning collapse it into one round per phase — `O(k log D)` rounds
+/// total.
 ///
 /// # Errors
 ///
@@ -1208,9 +998,15 @@ where
     mapreduce_fused_phase_on(engine, g1, g2, links, candidates, min_deg2, threshold)
 }
 
-/// [`mapreduce_fused_phase`] over a caller-supplied candidate list (see
-/// [`score_phase_on`]): the candidate rows become the round's map input
-/// directly instead of being rescanned from `g1`.
+/// [`mapreduce_fused_phase`] over a caller-supplied candidate list
+/// (ascending copy-1 ids, already degree-eligible and unlinked): the
+/// candidate rows become the round's map input directly instead of being
+/// rescanned from `g1`.
+///
+/// The round runs through [`Engine::run_combined_spilling`]: when the
+/// engine carries a memory budget the shuffle spills to checksummed run
+/// files ([`PackedRowCodec`]), and any spill I/O or corruption failure
+/// surfaces as a clean [`EngineError`].
 pub fn mapreduce_fused_phase_on<G1, G2>(
     engine: &Engine,
     g1: &G1,
@@ -1224,15 +1020,35 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    run_select_round(
-        engine,
+    let (n1, n2) = (g1.node_count(), g2.node_count());
+    let parts = engine.reduce_partitions();
+    let sinks: Vec<SelectSink> = engine.run_combined_spilling(
         "witness-score",
         candidates,
         |chunk: &[u32]| score_chunk_to_rows(g1, g2, links, min_deg2, chunk),
-        g1.node_count(),
-        g2.node_count(),
-        threshold,
-    )
+        // Map tasks take disjoint slices of the candidate list and emit
+        // each row at most once, so every key group holds exactly one
+        // fragment: there is nothing to combine.
+        |_, _: &mut Vec<Vec<u64>>| {},
+        move |&u: &u32| range_partition(u, n1, parts),
+        |_, row: &Vec<u64>| packed_row_bytes(row),
+        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
+            let mut sink = SelectSink::new(n2, threshold);
+            for (u, fragments) in groups {
+                let [row]: [Vec<u64>; 1] =
+                    fragments.try_into().expect("one fragment per candidate row");
+                sink.row_packed(u, &row);
+            }
+            sink
+        },
+        &PackedRowCodec,
+    )?;
+    let mut iter = sinks.into_iter();
+    let mut acc = iter.next().unwrap_or_else(|| SelectSink::new(n2, threshold));
+    for sink in iter {
+        acc.merge(sink);
+    }
+    Ok(acc.finish())
 }
 
 /// Spill codec for the packed-row shuffle protocol: a group is its dense
@@ -1286,82 +1102,11 @@ impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
     }
 }
 
-/// The shared select-fused engine round behind [`mapreduce_fused_phase`]
-/// and [`crate::matching::mapreduce_mutual_best`]: `map` turns each input
-/// chunk into packed-row records, the shuffle range-partitions their dense
-/// `u32` keys over `0..n1` with the row combiner engaged, each partition
-/// folds its rows into a [`SelectSink`] over `n2` copy-2 nodes, and the
-/// per-partition sinks merge into one `finish()`ed selection. This is the
-/// single definition of the packed-row round protocol — entry layout,
-/// partitioning, sizing, spill encoding ([`PackedRowCodec`]) — so callers
-/// only differ in how they produce rows.
-///
-/// Runs through [`Engine::run_combined_spilling`]: when the engine carries a
-/// memory budget the post-combine shuffle spills to checksummed run files,
-/// and any spill I/O or corruption failure surfaces as a clean
-/// [`EngineError`] (an engine without a budget never touches disk and never
-/// fails).
-pub(crate) fn run_select_round<I, M>(
-    engine: &Engine,
-    label: &str,
-    input: Vec<I>,
-    map: M,
-    n1: usize,
-    n2: usize,
-    threshold: u32,
-) -> Result<(usize, Vec<(NodeId, NodeId)>), EngineError>
-where
-    I: Send,
-    M: Fn(&[I]) -> Vec<(u32, Vec<u64>)> + Sync,
-{
-    let parts = engine.reduce_partitions();
-    let sinks: Vec<SelectSink> = engine.run_combined_spilling(
-        label,
-        input,
-        map,
-        |_, fragments: &mut Vec<Vec<u64>>| combine_row_fragments(fragments),
-        move |&u: &u32| range_partition(u, n1, parts),
-        |_, row: &Vec<u64>| packed_row_bytes(row),
-        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
-            let mut sink = SelectSink::new(n2, threshold);
-            for (u, fragments) in groups {
-                sink.row_packed(u, &merge_row_fragments(fragments));
-            }
-            sink
-        },
-        &PackedRowCodec,
-    )?;
-    let mut iter = sinks.into_iter();
-    let mut acc = iter.next().unwrap_or_else(|| SelectSink::new(n2, threshold));
-    for sink in iter {
-        acc.merge(sink);
-    }
-    Ok(acc.finish())
-}
-
-/// Arena-based construction of the full sparse [`ScoreTable`] — the same
-/// table as [`crate::witness::count_sequential`], built without per-
-/// contribution hashing (each pair is hashed once, on insertion).
-pub fn arena_score_table<G1, G2>(
-    g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
-    parallel: bool,
-) -> ScoreTable
-where
-    G1: GraphView + Sync,
-    G2: GraphView + Sync,
-{
-    score_phase(g1, g2, links, min_deg1, min_deg2, parallel, TableSink::default).into_table()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matching::mutual_best_pairs;
-    use crate::witness::{count_brute_force, count_sequential};
+    use crate::witness::{count_brute_force, count_sequential, ScoreTable};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use snr_generators::preferential_attachment;
@@ -1374,6 +1119,25 @@ mod tests {
         let g2 = CsrGraph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let links = Linking::with_seeds(5, 5, &[(NodeId(2), NodeId(2))]);
         (g1, g2, links)
+    }
+
+    /// Every candidate row of one phase, scored by [`score_row`] and read
+    /// back from the arena as a sparse table.
+    fn kernel_rows(
+        g1: &CsrGraph,
+        g2: &CsrGraph,
+        links: &Linking,
+        d: usize,
+        parallel: bool,
+    ) -> ScoreTable {
+        let cache = LinkCache::build_for_phase(g2, links, d, parallel);
+        let mut arena = ScoreArena::new(g2.node_count());
+        let mut table = ScoreTable::new();
+        for u in collect_candidates(g1, links, d) {
+            score_row(g1, &cache, NodeId(u), &mut arena);
+            table.extend(arena.touched().iter().map(|&v| ((u, v), arena.get(v))));
+        }
+        table
     }
 
     fn pa_workload(seed: u64, n: usize, m: usize) -> (CsrGraph, CsrGraph, Linking) {
@@ -1537,22 +1301,22 @@ mod tests {
     }
 
     #[test]
-    fn arena_table_matches_reference_on_tiny_case() {
+    fn kernel_rows_match_reference_on_tiny_case() {
         let (g1, g2, links) = tiny_case();
         for d in [1usize, 2, 3] {
             let reference = count_sequential(&g1, &g2, &links, d, d);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, false), reference);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, true), reference);
+            assert_eq!(kernel_rows(&g1, &g2, &links, d, false), reference);
+            assert_eq!(kernel_rows(&g1, &g2, &links, d, true), reference);
         }
     }
 
     #[test]
-    fn arena_table_matches_brute_force_on_random_graphs() {
+    fn kernel_rows_match_brute_force_on_random_graphs() {
         let (g1, g2, links) = pa_workload(19, 300, 5);
         for d in [1usize, 2, 4] {
             let oracle = count_brute_force(&g1, &g2, &links, d, d);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, false), oracle);
-            assert_eq!(arena_score_table(&g1, &g2, &links, d, d, true), oracle);
+            assert_eq!(kernel_rows(&g1, &g2, &links, d, false), oracle);
+            assert_eq!(kernel_rows(&g1, &g2, &links, d, true), oracle);
         }
     }
 
@@ -1601,7 +1365,7 @@ mod tests {
         let (scored, pairs) = fused_phase(&g, &g.clone(), &links, 1, 1, 1, false);
         assert_eq!(scored, 0);
         assert!(pairs.is_empty());
-        assert!(arena_score_table(&g, &g.clone(), &links, 1, 1, true).is_empty());
+        assert!(kernel_rows(&g, &g.clone(), &links, 1, true).is_empty());
     }
 
     #[test]
@@ -1620,17 +1384,6 @@ mod tests {
         let mut packed = [pack_entry(9, 1), pack_entry(2, 40), pack_entry(9, 2)];
         packed.sort_unstable();
         assert_eq!(packed.iter().map(|&e| unpack_entry(e).0).collect::<Vec<_>>(), [2, 9, 9]);
-    }
-
-    #[test]
-    fn combine_packed_row_merges_duplicate_targets() {
-        let mut row = vec![pack_entry(5, 2), pack_entry(1, 1), pack_entry(5, 3), pack_entry(2, 4)];
-        combine_packed_row(&mut row);
-        let entries: Vec<(u32, u32)> = row.iter().map(|&e| unpack_entry(e)).collect();
-        assert_eq!(entries, vec![(1, 1), (2, 4), (5, 5)]);
-        let mut single = vec![pack_entry(3, 9)];
-        combine_packed_row(&mut single);
-        assert_eq!(single, vec![pack_entry(3, 9)]);
     }
 
     #[test]
@@ -1863,12 +1616,13 @@ mod tests {
             let candidates =
                 cache.eligible(d, |u| links.is_linked_g1(NodeId(u)), |u| g1.degree(NodeId(u)));
             let expected = fused_phase(&g1, &g2, &links, d, d, t, false);
+            let n2 = g2.node_count();
             for parallel in [false, true] {
-                assert_eq!(
-                    fused_phase_on(&g1, &g2, &links, &candidates, d, t, parallel),
-                    expected,
-                    "d={d} t={t} parallel={parallel}"
-                );
+                let link_cache = LinkCache::build_for_phase(&g2, &links, d, parallel);
+                let sink = score_phase_cached(&g1, &link_cache, n2, &candidates, parallel, || {
+                    SelectSink::new(n2, t)
+                });
+                assert_eq!(sink.finish(), expected, "d={d} t={t} parallel={parallel}");
             }
             assert_eq!(
                 mapreduce_fused_phase_on(&engine, &g1, &g2, &links, candidates, d, t).unwrap(),

@@ -1,17 +1,17 @@
-//! Property tests for the combiner-aggregated MapReduce scoring path: on
-//! random PA/ER graph pairs, across thresholds and graph representations
-//! (CSR, compact, and mmap-backed segments), the engine round built from
-//! combiner mappers + packed shuffle must reproduce the brute-force oracle
-//! bit-for-bit — `count_mapreduce` equals `count_brute_force`'s table, and
-//! the select-fused round `mapreduce_fused_phase` equals
-//! `count_brute_force` → `mutual_best_pairs` — while the engine's shuffle
-//! statistics confirm the round really did move one record per scored pair.
+//! Property tests for the row-aggregated MapReduce scoring path: on random
+//! PA/ER graph pairs, across thresholds and graph representations (CSR,
+//! compact, and mmap-backed segments), the select-fused round
+//! `mapreduce_fused_phase` — row-scoring mappers + packed shuffle + select
+//! reduce — must reproduce the brute-force oracle `count_brute_force` →
+//! `mutual_best_pairs` bit-for-bit, while the engine's shuffle statistics
+//! confirm the round really did move one record per candidate row and
+//! 8 bytes per scored pair.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::matching::{mapreduce_mutual_best, mutual_best_pairs};
+use snr_core::matching::mutual_best_pairs;
 use snr_core::scoring::mapreduce_fused_phase;
-use snr_core::witness::{count_brute_force, count_mapreduce};
+use snr_core::witness::count_brute_force;
 use snr_core::Linking;
 use snr_generators::{gnp, preferential_attachment};
 use snr_graph::{CsrGraph, GraphView};
@@ -49,7 +49,7 @@ fn mmap_view(g: &CsrGraph, tag: &str) -> (MmapGraph, PathBuf) {
     (MmapGraph::open(&path).expect("open segment"), path)
 }
 
-/// Asserts the MapReduce rounds agree with the brute-force oracle on one
+/// Asserts the MapReduce round agrees with the brute-force oracle on one
 /// (G1, G2) representation combination.
 fn assert_matches_oracle<G1, G2>(
     engine: &Engine,
@@ -65,17 +65,10 @@ fn assert_matches_oracle<G1, G2>(
 {
     let oracle = count_brute_force(g1, g2, links, min_deg, min_deg);
     let expected_pairs = mutual_best_pairs(&oracle, threshold);
-    let table = count_mapreduce(g1, g2, links, min_deg, min_deg, engine);
-    assert_eq!(table, oracle, "count_mapreduce table ({label})");
     let (scored, pairs) =
         mapreduce_fused_phase(engine, g1, g2, links, min_deg, min_deg, threshold).unwrap();
     assert_eq!(scored, oracle.len(), "fused scored_pairs vs oracle table size ({label})");
     assert_eq!(pairs, expected_pairs, "fused MR selection ({label})");
-    assert_eq!(
-        mapreduce_mutual_best(engine, &oracle, threshold).unwrap(),
-        expected_pairs,
-        "mapreduce_mutual_best on the oracle table ({label})"
-    );
 }
 
 #[test]
@@ -149,10 +142,13 @@ fn mapreduce_rounds_match_oracle_across_workloads_thresholds_and_representations
 fn witness_round_shuffles_one_packed_record_per_candidate_row() {
     let (g1, g2, links) = workload(true, 300, 3, 42);
     let engine = Engine::new(3).with_chunk_size(32);
-    let table = count_mapreduce(&g1, &g2, &links, 1, 1, &engine);
+    let oracle = count_brute_force(&g1, &g2, &links, 1, 1);
+    let (scored, pairs) = mapreduce_fused_phase(&engine, &g1, &g2, &links, 1, 1, 2).unwrap();
+    assert_eq!(scored, oracle.len());
+    assert_eq!(pairs, mutual_best_pairs(&oracle, 2));
     let round = engine.stats().per_round[0].clone();
-    assert_eq!(round.label, "witness-count");
-    let rows: std::collections::HashSet<u32> = table.keys().map(|&(u, _)| u).collect();
+    assert_eq!(round.label, "witness-score");
+    let rows: std::collections::HashSet<u32> = oracle.keys().map(|&(u, _)| u).collect();
     assert_eq!(
         round.shuffled_records,
         rows.len(),
@@ -160,16 +156,16 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
     );
     assert_eq!(
         round.map_output_records, round.shuffled_records,
-        "arena mappers emit whole rows, so the engine combiner has nothing left to merge"
+        "mappers emit whole rows once each, so every key group is a single fragment"
     );
     assert_eq!(
         round.shuffled_bytes,
-        4 * rows.len() + 8 * table.len(),
+        4 * rows.len() + 8 * oracle.len(),
         "u32 key per row + 8 packed bytes per scored pair"
     );
-    // The pre-arena round shuffled one 12-byte ((u, v), 1) record per
-    // witness contribution; that volume is the witness-weighted table sum.
-    let contributions: usize = table.values().map(|&c| c as usize).sum();
+    // A round that shuffled one 12-byte ((u, v), 1) record per witness
+    // contribution would move the witness-weighted table sum.
+    let contributions: usize = oracle.values().map(|&c| c as usize).sum();
     assert!(
         round.shuffled_records * 5 < contributions,
         "row-aggregated shuffle {} must be far below the per-contribution formula {}",
@@ -177,25 +173,6 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
         contributions
     );
     assert!(round.shuffled_bytes < contributions * 12, "bytes must shrink too");
-
-    // The table-fed selection round exercises the combiner for real: every
-    // map task emits single-entry fragments that collapse to one record per
-    // (task, row) before the shuffle.
-    // Chunks larger than the distinct-row count guarantee the first (full)
-    // map task sees repeated `u`s, so the combiner provably merges.
-    let chunk = rows.len() + 1;
-    assert!(table.len() > chunk, "workload too small to pin combiner aggregation");
-    let engine = Engine::new(3).with_chunk_size(chunk);
-    let _ = mapreduce_mutual_best(&engine, &table, 2);
-    let select_round = engine.stats().per_round[0].clone();
-    assert_eq!(select_round.label, "mutual-select");
-    assert_eq!(select_round.map_output_records, table.len());
-    assert!(
-        select_round.shuffled_records < select_round.map_output_records,
-        "combiner must aggregate row fragments: {} vs {}",
-        select_round.shuffled_records,
-        select_round.map_output_records
-    );
 }
 
 #[test]
@@ -228,17 +205,11 @@ fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
 #[test]
 fn chunking_and_worker_count_never_change_results() {
     let (g1, g2, links) = workload(false, 200, 2, 7);
-    let reference = count_mapreduce(&g1, &g2, &links, 2, 2, &Engine::sequential());
-    let ref_pairs =
-        mapreduce_fused_phase(&Engine::sequential(), &g1, &g2, &links, 2, 2, 2).unwrap();
+    let oracle = count_brute_force(&g1, &g2, &links, 2, 2);
+    let ref_pairs = (oracle.len(), mutual_best_pairs(&oracle, 2));
     for workers in [1usize, 2, 5] {
         for chunk in [1usize, 3, 64, 10_000] {
             let engine = Engine::new(workers).with_chunk_size(chunk);
-            assert_eq!(
-                count_mapreduce(&g1, &g2, &links, 2, 2, &engine),
-                reference,
-                "table workers={workers} chunk={chunk}"
-            );
             assert_eq!(
                 mapreduce_fused_phase(&engine, &g1, &g2, &links, 2, 2, 2).unwrap(),
                 ref_pairs,

@@ -143,8 +143,7 @@ pub struct DriverConfig {
     /// Fault-injection spec (see `snr_faults` for the grammar). Parsed into
     /// a registry by [`ShardDriver::new`]; worker-site actions are
     /// re-scoped per subprocess through `FaultRegistry::worker_spec`.
-    /// Inherited from `SNR_FAULT` (or the legacy `SNR_DRIVER_FAULT`) by
-    /// [`DriverConfig::new`].
+    /// Inherited from `SNR_FAULT` by [`DriverConfig::new`].
     pub fault: Option<String>,
     /// Explicit worker binary path; when unset the driver checks
     /// `SNR_DRIVER_WORKER` and then looks next to the current executable.
@@ -171,17 +170,15 @@ impl DriverConfig {
     /// mmap stores, 60 s round deadline, three tasks per worker, two
     /// respawns with 50 ms base backoff, in-process degradation on total
     /// loss, per-phase checkpoints, fault spec taken from the `SNR_FAULT`
-    /// (or legacy `SNR_DRIVER_FAULT`) environment variable.
+    /// environment variable.
     pub fn new(workers: usize) -> Self {
-        let env_spec = |var: &str| std::env::var(var).ok().filter(|s| !s.is_empty());
         DriverConfig {
             workers: workers.max(1),
             matching: MatchingConfig::default(),
             store: DriverStore::Mmap,
             task_timeout: Duration::from_secs(60),
             tasks_per_worker: 3,
-            fault: env_spec(snr_faults::ENV_FAULT)
-                .or_else(|| env_spec(snr_faults::ENV_FAULT_LEGACY)),
+            fault: std::env::var(snr_faults::ENV_FAULT).ok().filter(|s| !s.is_empty()),
             worker_bin: None,
             respawn_budget: 2,
             backoff_base_ms: 50,
@@ -451,25 +448,6 @@ impl ShardDriver {
         out
     }
 
-    /// The full phase schedule as `(iteration, bucket-exponent)` pairs.
-    fn schedule(&self) -> Vec<(u32, u32)> {
-        let cfg = &self.config.matching;
-        let top_bucket = if cfg.degree_bucketing {
-            (usize::BITS - 1)
-                .saturating_sub(self.max_degree.max(1).leading_zeros())
-                .max(cfg.min_bucket)
-        } else {
-            cfg.min_bucket
-        };
-        let mut out = Vec::new();
-        for iteration in 1..=cfg.iterations {
-            for bucket in (cfg.min_bucket..=top_bucket).rev() {
-                out.push((iteration, bucket));
-            }
-        }
-        out
-    }
-
     fn run_inner(
         &self,
         seeds: &[(NodeId, NodeId)],
@@ -487,7 +465,7 @@ impl ShardDriver {
             links.insert_batch(&pairs);
             phases = cp.phase_stats();
         }
-        let schedule = self.schedule();
+        let schedule = cfg.schedule(self.max_degree);
         if phases.len() > schedule.len() {
             return Err(DriverError::Checkpoint(format!(
                 "checkpoint records {} phases but the schedule only has {}",
@@ -506,16 +484,19 @@ impl ShardDriver {
         } else {
             seeds.iter().map(|&(a, b)| (a.0, b.0)).collect()
         };
-        for (idx, &(iteration, bucket)) in schedule.iter().enumerate().skip(completed) {
+        for (idx, phase) in schedule.iter().enumerate().skip(completed) {
             let phase_start = Instant::now();
             let phase_no = (idx + 1) as u32;
-            let min_degree = 1usize << bucket;
-            let _phase_span =
-                snr_telemetry::span!("phase", n = phase_no, iter = iteration, bucket = bucket);
+            let _phase_span = snr_telemetry::span!(
+                "phase",
+                n = phase_no,
+                iter = phase.iteration,
+                bucket = phase.bucket
+            );
             let (scored_pairs, new_pairs) = self.run_phase(
                 &mut pool,
                 phase_no,
-                min_degree as u32,
+                phase.min_degree() as u32,
                 &delta,
                 &links,
                 &mut inproc,
@@ -526,8 +507,8 @@ impl ShardDriver {
             snr_telemetry::Gauge::LinksTotal.set(links.len() as u64);
             snr_telemetry::Histogram::PhaseMicros.record(phase_start.elapsed().as_micros() as u64);
             phases.push(PhaseStats {
-                iteration,
-                bucket: if cfg.degree_bucketing { bucket } else { 0 },
+                iteration: phase.iteration,
+                bucket: phase.reported_bucket,
                 scored_pairs,
                 new_links,
                 total_links: links.len(),
@@ -1165,7 +1146,6 @@ impl WorkerPool {
         // index; a spec exported in the user's shell cannot take down the
         // whole pool.
         cmd.env_remove(snr_faults::ENV_FAULT);
-        cmd.env_remove(snr_faults::ENV_FAULT_LEGACY);
         if let Some(spec) = driver.faults.worker_spec(w as u32, after_round) {
             cmd.env(snr_faults::ENV_FAULT, spec);
         }

@@ -30,8 +30,7 @@
 //! Fault injection for tests rides on the `SNR_FAULT` environment variable
 //! (or `DriverConfig::fault`), a comma-separated spec of named sites such
 //! as `kill:w1@round2,corrupt_frame:w0@round1` — see `snr_faults` for the
-//! grammar. The PR-6 `SNR_DRIVER_FAULT=kill_worker:<round>` /
-//! `stall_worker:<ms>` spellings remain as aliases.
+//! grammar.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

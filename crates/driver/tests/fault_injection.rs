@@ -91,8 +91,8 @@ fn killed_worker_rows_are_reassigned_bit_identically() {
     let (pair, seeds) = workload(71);
     let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
         .run(&pair.g1, &pair.g2, &seeds);
-    // Worker 0 dies on its first task of round 1 (legacy `kill_worker`
-    // spelling, kept as an alias); worker 1 absorbs the node space — and
+    // Worker 0 dies on its first task of round 1; worker 1 absorbs the
+    // node space — and
     // the default respawn budget may bring a healthy replacement back —
     // but the links must be the healthy ones either way.
     let outcome = with_watchdog(move || {
@@ -100,7 +100,7 @@ fn killed_worker_rows_are_reassigned_bit_identically() {
             &pair.g1,
             &pair.g2,
             &seeds,
-            config(2, "kill_worker:1", Duration::from_secs(60)),
+            config(2, "kill:w0@round1", Duration::from_secs(60)),
         )
     })
     .expect("one death among two workers is survivable");
@@ -119,7 +119,7 @@ fn late_round_death_converges_too() {
             &pair.g1,
             &pair.g2,
             &seeds,
-            config(2, "kill_worker:3", Duration::from_secs(60)),
+            config(2, "kill:w0@round3", Duration::from_secs(60)),
         )
     })
     .expect("one death among two workers is survivable");
@@ -158,7 +158,7 @@ fn stalled_worker_is_speculated_around() {
             &pair.g1,
             &pair.g2,
             &seeds,
-            config(2, "stall_worker:30000", Duration::from_secs(2)),
+            config(2, "stall:w0:30000", Duration::from_secs(2)),
         )
     })
     .expect("a straggler among two workers is survivable");

@@ -14,7 +14,7 @@
 //! 1. the in-process sequential matcher (the reference),
 //! 2. a healthy distributed run across worker subprocesses,
 //! 3. a distributed run with a **fault injected**: worker 0 is killed the
-//!    first time it receives a task (`SNR_DRIVER_FAULT=kill_worker:1`),
+//!    first time it receives a task (`SNR_FAULT=kill:w0@round1`),
 //!    forcing the coordinator to detect the death and re-assign the lost
 //!    row-ranges.
 //!
@@ -123,11 +123,11 @@ fn main() {
         &pair.g1,
         &pair.g2,
         &seeds,
-        driver_config(workers, matching, Some("kill_worker:1")),
+        driver_config(workers, matching, Some("kill:w0@round1")),
     )
     .expect("a killed worker among several must be survivable");
     let faulted_secs = start.elapsed().as_secs_f64();
-    check("kill_worker:1", &faulted, &reference, &pair, matchable);
+    check("kill:w0@round1", &faulted, &reference, &pair, matchable);
     println!(
         "driver x{workers} (worker 0 killed in round 1): {faulted_secs:.3}s, {} links — \
          re-assigned ranges converged",

@@ -29,12 +29,16 @@ fn main() {
     let pair = independent_deletion_symmetric(&network, 0.6, &mut rng).expect("valid probability");
     let seeds = sample_seeds(&pair, 0.08, &mut rng).expect("valid probability");
 
+    let workers = 4;
     let config = MatchingConfig::default()
         .with_threshold(2)
         .with_iterations(2)
-        .with_backend(Backend::MapReduce { workers: 4 });
-    let algo = UserMatching::new(config);
-    let (outcome, engine_stats) = algo.run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+        .with_backend(Backend::MapReduce { workers });
+    let engine = Engine::new(workers);
+    let outcome = UserMatching::new(config)
+        .try_run_on_engine(&pair.g1, &pair.g2, &seeds, &engine)
+        .expect("in-memory rounds");
+    let engine_stats = engine.stats();
 
     let eval = Evaluation::score(&pair, &outcome.links, outcome.links.seed_count());
     println!(

@@ -10,7 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use social_reconcile::core::witness::count_witnesses;
+use social_reconcile::core::matching::mutual_best_pairs;
+use social_reconcile::core::scoring::{fused_phase, mapreduce_fused_phase};
+use social_reconcile::core::witness::count_sequential;
 use social_reconcile::core::{Backend, MatchingConfig, UserMatching};
 use social_reconcile::prelude::*;
 use social_reconcile::store::write_segment_file;
@@ -124,6 +126,35 @@ fn backend_runs_are_deterministic_across_repetitions() {
     }
 }
 
+/// One fused phase (scoring + mutual-best selection) on `backend`:
+/// `(scored_pairs, selected pairs)`.
+fn phase_on<G1, G2>(
+    g1: &G1,
+    g2: &G2,
+    links: &Linking,
+    min_deg: usize,
+    threshold: u32,
+    backend: Backend,
+) -> (usize, Vec<(NodeId, NodeId)>)
+where
+    G1: GraphView + Sync,
+    G2: GraphView + Sync,
+{
+    match backend {
+        Backend::Sequential => fused_phase(g1, g2, links, min_deg, min_deg, threshold, false),
+        Backend::Rayon => fused_phase(g1, g2, links, min_deg, min_deg, threshold, true),
+        Backend::MapReduce { workers } => {
+            let engine = Engine::new(workers);
+            mapreduce_fused_phase(&engine, g1, g2, links, min_deg, min_deg, threshold)
+                .expect("in-memory round")
+        }
+    }
+}
+
+/// Every backend on every store scores the same pairs as the reference
+/// table and selects the same mutual bests from them: one phase's
+/// `(scored_pairs, selected pairs)` equals `count_sequential`'s table size
+/// and `mutual_best_pairs` over it.
 #[test]
 fn witness_score_tables_are_identical_across_backends_and_representations() {
     let (pair, seeds) = workload(15, 1_000, 6, 0.6, 0.10);
@@ -132,23 +163,21 @@ fn witness_score_tables_are_identical_across_backends_and_representations() {
     let ((m1, p1), (m2, p2)) = (mmap_view(&pair.g1, "t1"), mmap_view(&pair.g2, "t2"));
     let (s1, s2) = (ShardedGraph::partition(&pair.g1, 4), ShardedGraph::partition(&pair.g2, 4));
     for min_deg in [1, 2, 4] {
-        let reference =
-            count_witnesses(&pair.g1, &pair.g2, &links, min_deg, min_deg, Backend::Sequential);
-        for backend in [Backend::Sequential, Backend::Rayon, Backend::MapReduce { workers: 3 }] {
-            let on_csr = count_witnesses(&pair.g1, &pair.g2, &links, min_deg, min_deg, backend);
-            let on_compact = count_witnesses(&c1, &c2, &links, min_deg, min_deg, backend);
-            let on_mmap = count_witnesses(&m1, &m2, &links, min_deg, min_deg, backend);
-            let on_sharded = count_witnesses(&s1, &s2, &links, min_deg, min_deg, backend);
-            assert_eq!(on_csr, reference, "{backend:?} table differs on CsrGraph d={min_deg}");
-            assert_eq!(
-                on_compact, reference,
-                "{backend:?} table differs on CompactCsr d={min_deg}"
-            );
-            assert_eq!(on_mmap, reference, "{backend:?} table differs on MmapGraph d={min_deg}");
-            assert_eq!(
-                on_sharded, reference,
-                "{backend:?} table differs on ShardedGraph d={min_deg}"
-            );
+        let table = count_sequential(&pair.g1, &pair.g2, &links, min_deg, min_deg);
+        for threshold in [1, 2] {
+            let reference = (table.len(), mutual_best_pairs(&table, threshold));
+            for backend in [Backend::Sequential, Backend::Rayon, Backend::MapReduce { workers: 3 }]
+            {
+                let case = format!("{backend:?} d={min_deg} t={threshold}");
+                let on_csr = phase_on(&pair.g1, &pair.g2, &links, min_deg, threshold, backend);
+                assert_eq!(on_csr, reference, "{case} differs on CsrGraph");
+                let on_compact = phase_on(&c1, &c2, &links, min_deg, threshold, backend);
+                assert_eq!(on_compact, reference, "{case} differs on CompactCsr");
+                let on_mmap = phase_on(&m1, &m2, &links, min_deg, threshold, backend);
+                assert_eq!(on_mmap, reference, "{case} differs on MmapGraph");
+                let on_sharded = phase_on(&s1, &s2, &links, min_deg, threshold, backend);
+                assert_eq!(on_sharded, reference, "{case} differs on ShardedGraph");
+            }
         }
     }
     drop((m1, m2));

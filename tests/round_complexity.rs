@@ -10,7 +10,23 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use social_reconcile::core::{Backend, MatchingConfig, UserMatching};
+use social_reconcile::mapreduce::EngineStats;
 use social_reconcile::prelude::*;
+
+/// Runs `config` (a MapReduce configuration) on an engine of `workers`
+/// and returns the outcome with the engine's round statistics.
+fn run_with_stats(
+    config: MatchingConfig,
+    workers: usize,
+    pair: &RealizationPair,
+    seeds: &[(NodeId, NodeId)],
+) -> (MatchingOutcome, EngineStats) {
+    let engine = Engine::new(workers);
+    let outcome = UserMatching::new(config)
+        .try_run_on_engine(&pair.g1, &pair.g2, seeds, &engine)
+        .expect("in-memory rounds");
+    (outcome, engine.stats())
+}
 
 fn build(seed: u64) -> (RealizationPair, Vec<(NodeId, NodeId)>) {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -38,8 +54,7 @@ fn mapreduce_rounds_are_one_fused_round_per_phase() {
     let config = MatchingConfig::default()
         .with_iterations(2)
         .with_backend(Backend::MapReduce { workers: 2 });
-    let (outcome, stats) =
-        UserMatching::new(config).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let (outcome, stats) = run_with_stats(config, 2, &pair, &seeds);
     assert_eq!(stats.rounds, outcome.phases.len());
     assert_eq!(stats.per_round.len(), stats.rounds);
     assert!(stats.per_round.iter().all(|r| r.label == "witness-score"));
@@ -76,8 +91,7 @@ fn disabling_bucketing_collapses_to_k_phases() {
         .with_iterations(2)
         .with_degree_bucketing(false)
         .with_backend(Backend::MapReduce { workers: 2 });
-    let (outcome, stats) =
-        UserMatching::new(config).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let (outcome, stats) = run_with_stats(config, 2, &pair, &seeds);
     assert_eq!(outcome.phases.len(), 2);
     assert_eq!(stats.rounds, 2);
 }
@@ -88,7 +102,7 @@ fn engine_round_statistics_are_internally_consistent() {
     let config = MatchingConfig::default()
         .with_iterations(1)
         .with_backend(Backend::MapReduce { workers: 3 });
-    let (_, stats) = UserMatching::new(config).run_with_round_stats(&pair.g1, &pair.g2, &seeds);
+    let (_, stats) = run_with_stats(config, 3, &pair, &seeds);
     assert_eq!(stats.per_round.len(), stats.rounds);
     let sum_inputs: usize = stats.per_round.iter().map(|r| r.input_records).sum();
     let sum_outputs: usize = stats.per_round.iter().map(|r| r.output_records).sum();
