@@ -60,22 +60,23 @@ impl UserMatching {
     /// [`snr_graph::CsrGraph`]s, [`snr_graph::CompactCsr`]s, or one of each —
     /// the algorithm (and its output) is identical for every combination.
     ///
-    /// Infallible: the engine this entry point builds carries whatever spill
-    /// budget `SNR_MR_SPILL_BUDGET` requests, so a spill failure (I/O error
-    /// or corrupt run file) panics here — use [`UserMatching::try_run`] to
-    /// handle it instead.
+    /// Infallible: the engine this entry point builds for the MapReduce
+    /// backend has no spill budget, so its rounds never touch disk and
+    /// cannot fail. To spill, build an engine with
+    /// [`Engine::with_spill_budget`] and run it through
+    /// [`UserMatching::try_run_on_engine`].
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
         G2: GraphView + Sync,
     {
-        self.try_run(g1, g2, seeds).expect("spill round failed")
+        self.try_run(g1, g2, seeds).expect("a round without a spill budget never fails")
     }
 
-    /// Fallible sibling of [`UserMatching::run`]: surfaces a spill I/O or
-    /// corruption failure in the MapReduce backend's out-of-core shuffle as
-    /// a clean [`EngineError`] instead of panicking. A run without a spill
-    /// budget never returns `Err`.
+    /// [`UserMatching::run`] with the engine's error type in the signature.
+    /// The engine it builds has no spill budget, so it never returns `Err`;
+    /// [`UserMatching::try_run_on_engine`] is the entry point whose rounds
+    /// can spill and fail.
     pub fn try_run<G1, G2>(
         &self,
         g1: &G1,

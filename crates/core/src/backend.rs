@@ -9,10 +9,10 @@
 //! * [`Backend::Rayon`] — shared-memory data parallelism over candidate
 //!   rows (the practical choice on one machine);
 //! * [`Backend::MapReduce`] — runs each phase as one fused round on the
-//!   `snr-mapreduce` engine (combiner mappers over the scoring arena, a
-//!   packed row-partitioned shuffle, mutual-best selection fused into the
-//!   reduce), letting the experiments count rounds and measure shuffle
-//!   volume in records and bytes.
+//!   `snr-mapreduce` engine (combiner mappers that aggregate each candidate
+//!   row in the scoring arena, a packed row-partitioned shuffle, mutual-best
+//!   selection fused into the reduce), letting the experiments count rounds
+//!   and measure shuffle volume in records and bytes.
 //!
 //! All three backends produce identical link sets for identical inputs (see
 //! the cross-backend equivalence tests in `tests/backend_equivalence.rs`).

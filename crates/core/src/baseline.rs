@@ -67,9 +67,8 @@ impl BaselineMatching {
     /// per pass, every pass at minimum degree 1 (bucket exponent 0,
     /// reported as bucket 0), on the same exact kernel and backend.
     ///
-    /// Panics only if the MapReduce backend's engine carries a spill budget
-    /// (`SNR_MR_SPILL_BUDGET`) and a spill fails, like
-    /// [`UserMatching::run`].
+    /// Infallible, like [`UserMatching::run`]: the MapReduce backend's
+    /// engine is built here without a spill budget, so it never spills.
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
@@ -83,7 +82,7 @@ impl BaselineMatching {
             .collect();
         UserMatching::new(config)
             .run_schedule(g1, g2, seeds, &schedule, None)
-            .expect("spill round failed")
+            .expect("a round without a spill budget never fails")
     }
 }
 

@@ -167,9 +167,11 @@ pub struct Phase {
 }
 
 impl Phase {
-    /// The phase's minimum degree, `2^bucket`.
+    /// The phase's minimum degree, `2^bucket`, saturating at `usize::MAX`
+    /// when `2^bucket` does not fit (no node has that many neighbors, so
+    /// the phase scores nothing either way).
     pub fn min_degree(&self) -> usize {
-        1usize << self.bucket
+        1usize.checked_shl(self.bucket).unwrap_or(usize::MAX)
     }
 }
 
@@ -244,6 +246,16 @@ mod tests {
             assert_eq!((p.iteration, p.bucket, p.reported_bucket), (i as u32 + 1, 2, 0));
             assert_eq!(p.min_degree(), 4);
         }
+    }
+
+    #[test]
+    fn min_degree_saturates_instead_of_overflowing() {
+        let at = |bucket| Phase { iteration: 1, bucket, reported_bucket: bucket }.min_degree();
+        assert_eq!(at(31) as u128, 1 << 31);
+        assert_eq!(at(32) as u128, 1 << 32);
+        assert_eq!(at(63) as u128, 1 << 63);
+        assert_eq!(at(64), usize::MAX);
+        assert_eq!(at(70), usize::MAX);
     }
 
     #[test]

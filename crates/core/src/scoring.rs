@@ -33,8 +33,8 @@
 //! # The MapReduce round runs the same kernel
 //!
 //! [`mapreduce_fused_phase`] expresses one whole phase as a single
-//! [`snr_mapreduce::Engine::run_combined_spilling`] round: map tasks score
-//! contiguous chunks of candidate rows through a task-local [`LinkCache`] +
+//! [`snr_mapreduce::Engine::run`] round: map tasks score contiguous chunks
+//! of candidate rows through a task-local [`LinkCache`] +
 //! [`ScoreArena`] and emit one already-aggregated record per candidate
 //! *row* — a dense `u32` key plus the row's packed `(v, count)` entries at
 //! 8 bytes each. The shuffle range-partitions by `u`, so each reduce
@@ -1003,10 +1003,10 @@ where
 /// candidate rows become the round's map input directly instead of being
 /// rescanned from `g1`.
 ///
-/// The round runs through [`Engine::run_combined_spilling`]: when the
-/// engine carries a memory budget the shuffle spills to checksummed run
-/// files ([`PackedRowCodec`]), and any spill I/O or corruption failure
-/// surfaces as a clean [`EngineError`].
+/// The round runs through [`Engine::run`]: when the engine carries a
+/// memory budget the shuffle spills to checksummed run files
+/// ([`PackedRowCodec`]), and any spill I/O or corruption failure surfaces
+/// as a clean [`EngineError`].
 pub fn mapreduce_fused_phase_on<G1, G2>(
     engine: &Engine,
     g1: &G1,
@@ -1021,15 +1021,14 @@ where
     G2: GraphView + Sync,
 {
     let (n1, n2) = (g1.node_count(), g2.node_count());
-    let parts = engine.reduce_partitions();
-    let sinks: Vec<SelectSink> = engine.run_combined_spilling(
+    let parts = engine.workers();
+    let sinks: Vec<SelectSink> = engine.run(
         "witness-score",
         candidates,
-        |chunk: &[u32]| score_chunk_to_rows(g1, g2, links, min_deg2, chunk),
         // Map tasks take disjoint slices of the candidate list and emit
         // each row at most once, so every key group holds exactly one
-        // fragment: there is nothing to combine.
-        |_, _: &mut Vec<Vec<u64>>| {},
+        // fragment.
+        |chunk: &[u32]| score_chunk_to_rows(g1, g2, links, min_deg2, chunk),
         move |&u: &u32| range_partition(u, n1, parts),
         |_, row: &Vec<u64>| packed_row_bytes(row),
         |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {

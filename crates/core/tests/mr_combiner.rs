@@ -178,11 +178,11 @@ fn witness_round_shuffles_one_packed_record_per_candidate_row() {
 #[test]
 fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
     // Force the out-of-core path: budget 0 spills every map task's
-    // post-combine buckets to checksummed run files, and the reduce k-way
+    // sorted buckets to checksummed run files, and the reduce k-way
     // merges them back. Links, scored-pair count, and the non-spill shuffle
     // statistics must be exactly what the in-memory round produces.
     let (g1, g2, links) = workload(true, 260, 3, 0xD15C);
-    let in_memory = Engine::sequential().with_chunk_size(16);
+    let in_memory = Engine::new(1).with_chunk_size(16);
     let expected = mapreduce_fused_phase(&in_memory, &g1, &g2, &links, 2, 2, 2).unwrap();
     let scratch = std::env::temp_dir().join(format!("snr-core-spill-{}", std::process::id()));
     for (workers, budget) in [(1usize, 0u64), (1, 512), (3, 0), (3, 2048)] {

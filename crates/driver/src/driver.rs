@@ -40,18 +40,17 @@
 //! then killed. On top of that PR-6 baseline sit three healing layers:
 //!
 //! 1. **Respawn** — every death schedules a relaunch with exponential
-//!    backoff (`backoff_base_ms · 2^attempt`) while the per-run
+//!    backoff (50 ms · 2^attempt) while the per-run
 //!    [`DriverConfig::respawn_budget`] lasts; the replacement syncs via
 //!    `Reinit` and picks up tasks mid-phase.
 //! 2. **Checkpoint/resume** — after each phase the coordinator persists
 //!    links + counters to `checkpoint.snrc` in the scratch dir (see
 //!    [`crate::checkpoint`]); [`ShardDriver::resume`] restarts from the
 //!    last complete phase, bit-identical to an uninterrupted run.
-//! 3. **Degradation** — when the pool (live + scheduled respawns) falls
-//!    below [`DriverConfig::degrade_floor`], the coordinator finishes the
-//!    remaining row-ranges in-process ([`DegradePolicy::InProcess`], the
-//!    default) instead of failing; [`DegradePolicy::Fail`] keeps the old
-//!    abort behavior.
+//! 3. **Degradation** — when the pool (live + scheduled respawns) is
+//!    empty, the coordinator finishes the remaining row-ranges in-process
+//!    ([`DegradePolicy::InProcess`], the default) instead of failing;
+//!    [`DegradePolicy::Fail`] keeps the old abort behavior.
 //!
 //! The failure modes that remain — the pool collapsing under
 //! `DegradePolicy::Fail`, or one row-range burning through the retry
@@ -92,8 +91,8 @@ pub enum DriverStore {
     Sharded(usize),
 }
 
-/// What the coordinator does when the worker pool collapses below
-/// [`DriverConfig::degrade_floor`].
+/// What the coordinator does when the worker pool collapses: no live
+/// worker and no respawn scheduled.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum DegradePolicy {
     /// Abort the run with [`DriverError::AllWorkersDead`] (the pre-healing
@@ -136,10 +135,6 @@ pub struct DriverConfig {
     /// has the task speculatively re-queued, and is killed if it also
     /// sleeps through the grace period.
     pub task_timeout: Duration,
-    /// Row-range granularity: the node space is cut into
-    /// `workers * tasks_per_worker` entry-balanced tasks (ignored for
-    /// [`DriverStore::Sharded`], where each shard is one task).
-    pub tasks_per_worker: usize,
     /// Fault-injection spec (see `snr_faults` for the grammar). Parsed into
     /// a registry by [`ShardDriver::new`]; worker-site actions are
     /// re-scoped per subprocess through `FaultRegistry::worker_spec`.
@@ -150,44 +145,43 @@ pub struct DriverConfig {
     pub worker_bin: Option<PathBuf>,
     /// How many worker relaunches one run may spend (a respawn consumes
     /// budget when it is scheduled, whether or not the exec succeeds).
+    /// Attempt `k` of a slot waits `50 ms · 2^k` before relaunching.
     pub respawn_budget: u32,
-    /// Base of the exponential respawn backoff: attempt `k` of a slot
-    /// waits `backoff_base_ms · 2^k` before relaunching.
-    pub backoff_base_ms: u64,
-    /// What to do when the pool collapses below `degrade_floor`.
+    /// What to do when the pool collapses (no live worker and no respawn
+    /// scheduled).
     pub degrade: DegradePolicy,
-    /// Degrade once live-or-respawning workers drop below this count
-    /// (default 1: degrade only on total loss). 0 disables degradation:
-    /// total loss then surfaces as [`DriverError::AllWorkersDead`]
-    /// regardless of [`DriverConfig::degrade`].
-    pub degrade_floor: usize,
     /// Whether to persist a checkpoint after every phase (default true).
     pub checkpoints: bool,
 }
 
 impl DriverConfig {
     /// A config with `workers` subprocesses and defaults for the rest:
-    /// mmap stores, 60 s round deadline, three tasks per worker, two
-    /// respawns with 50 ms base backoff, in-process degradation on total
-    /// loss, per-phase checkpoints, fault spec taken from the `SNR_FAULT`
-    /// environment variable.
+    /// mmap stores, 60 s round deadline, two respawns, in-process
+    /// degradation on total loss, per-phase checkpoints, fault spec taken
+    /// from the `SNR_FAULT` environment variable.
     pub fn new(workers: usize) -> Self {
         DriverConfig {
             workers: workers.max(1),
             matching: MatchingConfig::default(),
             store: DriverStore::Mmap,
             task_timeout: Duration::from_secs(60),
-            tasks_per_worker: 3,
             fault: std::env::var(snr_faults::ENV_FAULT).ok().filter(|s| !s.is_empty()),
             worker_bin: None,
             respawn_budget: 2,
-            backoff_base_ms: 50,
             degrade: DegradePolicy::InProcess,
-            degrade_floor: 1,
             checkpoints: true,
         }
     }
 }
+
+/// Row-range granularity: outside [`DriverStore::Sharded`] (where each
+/// shard is one task) the node space is cut into `workers ·
+/// TASKS_PER_WORKER` entry-balanced tasks.
+const TASKS_PER_WORKER: usize = 3;
+
+/// Base of the exponential respawn backoff: attempt `k` of a slot waits
+/// `RESPAWN_BACKOFF_BASE_MS · 2^k` before relaunching.
+const RESPAWN_BACKOFF_BASE_MS: u64 = 50;
 
 /// Monotonic suffix so concurrent drivers in one process get distinct
 /// scratch directories.
@@ -240,7 +234,7 @@ impl ShardDriver {
             DriverStore::Compact | DriverStore::Mmap => {
                 let g1_path = scratch.join("g1.snrs");
                 write_segment_file(g1, &g1_path)?;
-                let parts = config.workers.max(1) * config.tasks_per_worker.max(1);
+                let parts = config.workers.max(1) * TASKS_PER_WORKER;
                 let cuts = snr_store::shard_boundaries(g1, parts);
                 let spec = if matches!(config.store, DriverStore::Compact) {
                     G1Spec::RangeLoad { path: path_str(&g1_path)? }
@@ -349,7 +343,7 @@ impl ShardDriver {
                 let g1_path = scratch.join("g1.snrs");
                 let g1 = MmapGraph::open(&g1_path)?;
                 check_n1(g1.node_count(), cp)?;
-                let parts = config.workers.max(1) * config.tasks_per_worker.max(1);
+                let parts = config.workers.max(1) * TASKS_PER_WORKER;
                 let cuts = snr_store::shard_boundaries(&g1, parts);
                 let spec = if matches!(config.store, DriverStore::Compact) {
                     G1Spec::RangeLoad { path: path_str(&g1_path)? }
@@ -496,7 +490,7 @@ impl ShardDriver {
             let (scored_pairs, new_pairs) = self.run_phase(
                 &mut pool,
                 phase_no,
-                phase.min_degree() as u32,
+                u32::try_from(phase.min_degree()).unwrap_or(u32::MAX),
                 &delta,
                 &links,
                 &mut inproc,
@@ -614,13 +608,10 @@ impl ShardDriver {
         while done_count < total {
             pool.launch_due_respawns(self);
             snr_telemetry::Gauge::WorkersAlive.set(pool.potential_workers() as u64);
-            // A pool below the floor degrades (or fails); a pool of zero is
-            // always actionable even with the floor at 0, because nothing
-            // could ever finish the remaining tasks otherwise.
-            if pool.potential_workers() < self.config.degrade_floor.max(1) {
-                let degrade = self.config.degrade_floor > 0
-                    && matches!(self.config.degrade, DegradePolicy::InProcess);
-                if degrade {
+            // An empty pool could never finish the remaining tasks: degrade
+            // in-process, or fail, as the policy says.
+            if pool.potential_workers() == 0 {
+                if matches!(self.config.degrade, DegradePolicy::InProcess) {
                     self.finish_in_process(
                         phase,
                         min_degree,
@@ -888,7 +879,7 @@ impl ShardDriver {
         snr_telemetry::Counter::DegradedTasks.add(scored);
         snr_telemetry::event!("degraded", phase = phase, tasks = scored);
         snr_telemetry::warn!(
-            "worker pool below floor in phase {phase}; scored {scored} row-range(s) in-process"
+            "worker pool empty in phase {phase}; scored {scored} row-range(s) in-process"
         );
         Ok(())
     }
@@ -1227,8 +1218,7 @@ impl WorkerPool {
         let slot = &mut self.slots[w];
         let exponent = slot.respawns.min(6);
         slot.respawns += 1;
-        let delay =
-            Duration::from_millis(driver.config.backoff_base_ms.saturating_mul(1 << exponent));
+        let delay = Duration::from_millis(RESPAWN_BACKOFF_BASE_MS.saturating_mul(1 << exponent));
         self.pending_respawn.push((w, Instant::now() + delay));
     }
 

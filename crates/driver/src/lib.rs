@@ -21,9 +21,9 @@
 //! row-ranges re-assigned and their slots respawned with exponential
 //! backoff (within [`DriverConfig::respawn_budget`]); every phase boundary
 //! persists a checksummed checkpoint ([`checkpoint`]) that
-//! [`ShardDriver::resume`] restarts from; and a pool that collapses below
-//! [`DriverConfig::degrade_floor`] falls back to scoring the remaining
-//! ranges in-process ([`DegradePolicy::InProcess`]). All recovery paths
+//! [`ShardDriver::resume`] restarts from; and a pool that loses every
+//! worker falls back to scoring the remaining ranges in-process
+//! ([`DegradePolicy::InProcess`]). All recovery paths
 //! produce bit-identical results. Unrecoverable failures surface as
 //! [`DriverError`], never a hang.
 //!

@@ -142,3 +142,25 @@ fn driver_runs_are_deterministic_across_repetitions() {
             .unwrap();
     assert_eq!(a.links, b.links, "distributed runs are not deterministic");
 }
+
+#[test]
+fn driver_matches_sequential_when_the_bucket_degree_overflows_u32() {
+    // Bucket 40 asks for degree >= 2^40, which the protocol's u32 minimum
+    // degree cannot carry: the driver must saturate it rather than wrap it
+    // to 0, so, as in the sequential run, no node is eligible and both
+    // runs keep exactly the seeds.
+    let (pair, seeds) = pa_workload(66, 600, 6);
+    let matching =
+        MatchingConfig::default().with_threshold(1).with_iterations(1).with_min_bucket(40);
+    let reference = UserMatching::new(matching.clone()).run(&pair.g1, &pair.g2, &seeds);
+    let distributed =
+        run_distributed(&pair.g1, &pair.g2, &seeds, driver_config(2, DriverStore::Mmap, matching))
+            .expect("driver run at min_bucket 40");
+    assert_eq!(distributed.links, reference.links, "links differ at min_bucket 40");
+    assert_eq!(reference.links.len(), reference.links.seed_count(), "sequential keeps the seeds");
+    assert_eq!(distributed.discovered(), 0, "the driver links nothing beyond the seeds");
+    for (d, r) in distributed.phases.iter().zip(&reference.phases) {
+        assert_eq!((d.scored_pairs, d.new_links), (0, 0), "driver scored an ineligible row");
+        assert_eq!((r.scored_pairs, r.new_links), (0, 0));
+    }
+}

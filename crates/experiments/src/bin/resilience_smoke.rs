@@ -12,9 +12,9 @@
 //! under `--full` — through every recovery layer of `snr-driver`:
 //!
 //! 1. the in-process sequential matcher (the reference),
-//! 2. **respawn**: worker 1 is killed on its first task
-//!    (`SNR_FAULT=kill:w1@round1`) and the respawn budget must bring a
-//!    replacement back,
+//! 2. **respawn**: workers 0 and 1 are each killed on their first round-1
+//!    task (`SNR_FAULT=kill:w0@round1,kill:w1@round1`) and the respawn
+//!    budget must bring replacements back,
 //! 3. **checkpoint/resume**: the coordinator halts right after phase 1
 //!    checkpoints (`halt@phase1`) and `ShardDriver::resume` finishes the
 //!    schedule from the checkpoint,
@@ -115,22 +115,23 @@ fn main() {
     let seq_secs = start.elapsed().as_secs_f64();
     println!("sequential reference: {seq_secs:.3}s, {} links", reference.links.len());
 
-    // 1. Respawn: worker 1 dies mid-round; the budget (default 2) must
-    //    bring a healthy replacement back that syncs via Reinit.
+    // 1. Respawn: whichever worker takes a round-1 task dies on it; the
+    //    budget (default 2, enough for both) must bring healthy
+    //    replacements back that sync via Reinit. Both workers are armed
+    //    because worker 1's handshake can finish after worker 0 has
+    //    scored every round-1 task, so a kill on one worker may never fire.
+    let kill = "kill:w0@round1,kill:w1@round1";
     let start = Instant::now();
-    let driver = ShardDriver::new(
-        &pair.g1,
-        &pair.g2,
-        driver_config(workers, matching.clone(), Some("kill:w1@round1")),
-    )
-    .expect("snapshot graphs for driver");
+    let driver =
+        ShardDriver::new(&pair.g1, &pair.g2, driver_config(workers, matching.clone(), Some(kill)))
+            .expect("snapshot graphs for driver");
     let respawned = driver.run(&seeds).expect("a killed worker must be respawned around");
     let stats = driver.last_run_stats();
     drop(driver);
     assert!(stats.respawns >= 1, "respawn machinery never engaged: {stats:?}");
     check("respawn", &respawned, &reference, &pair, matchable);
     println!(
-        "driver x{workers} (kill:w1@round1, {} respawns): {:.3}s, {} links — bit-identical",
+        "driver x{workers} ({kill}, {} respawns): {:.3}s, {} links — bit-identical",
         stats.respawns,
         start.elapsed().as_secs_f64(),
         respawned.links.len()

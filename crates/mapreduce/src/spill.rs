@@ -1,6 +1,6 @@
 //! Spill-to-disk run files for the out-of-core shuffle.
 //!
-//! When a round's accumulated post-combine shuffle bytes cross the engine's
+//! When a round's accumulated shuffle bytes cross the engine's
 //! memory budget (see [`crate::Engine::with_spill_budget`]), map tasks flush
 //! their sorted per-partition buckets to *run files* in a scratch directory
 //! and the reduce side k-way-merges the on-disk runs with the in-memory
@@ -43,10 +43,10 @@ pub const RUN_HEADER_LEN: usize = 4 + 2 + 4 + 4 + 4 + 8;
 /// Trailer bytes: the FNV-1a checksum of header + body.
 pub const RUN_FOOTER_LEN: usize = 8;
 
-/// Error surfaced by the spillable round shapes
-/// ([`crate::Engine::run_combined_spilling`]).
+/// Error surfaced by a round ([`crate::Engine::run`]).
 ///
-/// The in-memory path is infallible; every variant here originates from the
+/// A round without a spill budget never fails; every variant here
+/// originates from the
 /// spill machinery — scratch-dir I/O, run-file corruption, or an injected
 /// `spill_io`/`spill_corrupt` fault. The engine guarantees that by the time
 /// an `EngineError` reaches the caller the round's scratch directory has
@@ -71,9 +71,9 @@ impl std::error::Error for EngineError {}
 /// and the bytes that hit a run file.
 ///
 /// The engine itself places no serialization bound on keys or values, so
-/// spilling is opt-in per round shape: callers of
-/// [`crate::Engine::run_combined_spilling`] supply a codec for their
-/// concrete types (e.g. the packed score-row codec in `snr-core`).
+/// callers of [`crate::Engine::run`] supply a codec for their concrete
+/// types (e.g. the packed score-row codec in `snr-core`). It is only
+/// invoked when the round spills.
 ///
 /// The contract is exact round-tripping: `decode_group(encode_group(k, vs))`
 /// must reproduce `(k, vs)` bit-identically, because the spilled and
@@ -86,20 +86,6 @@ pub trait SpillCodec<K, V> {
     /// [`SpillCodec::encode_group`]. Errors are descriptive strings; the
     /// engine wraps them in [`EngineError::Spill`].
     fn decode_group(&self, bytes: &[u8]) -> Result<(K, Vec<V>), String>;
-}
-
-/// Placeholder codec for the infallible in-memory round shapes, which never
-/// spill and therefore never invoke it.
-pub(crate) struct NoSpill;
-
-impl<K, V> SpillCodec<K, V> for NoSpill {
-    fn encode_group(&self, _key: &K, _values: &[V], _out: &mut Vec<u8>) {
-        unreachable!("in-memory rounds never spill")
-    }
-
-    fn decode_group(&self, _bytes: &[u8]) -> Result<(K, Vec<V>), String> {
-        unreachable!("in-memory rounds never spill")
-    }
 }
 
 fn io_spill(path: &Path, what: &str, e: std::io::Error) -> EngineError {

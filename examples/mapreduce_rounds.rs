@@ -7,11 +7,12 @@
 //! The paper's efficiency claim is about *round complexity*: it sketches
 //! each phase of the algorithm as 4 MapReduce rounds, so a full run is
 //! `O(k log D)` rounds. This reproduction's engine collapses each phase to
-//! a *single* round (combiner mappers pre-aggregate scores on task-local
-//! arenas, the packed shuffle is range-partitioned by candidate row, and
-//! mutual-best selection is fused into the reduce), keeping the same
-//! `O(k log D)` bound with a 4x smaller constant and a shuffle volume of
-//! one record per scored pair instead of one per witness contribution.
+//! a *single* round (combiner mappers aggregate each candidate row on a
+//! task-local arena before emitting it, the packed shuffle is
+//! range-partitioned by candidate row, and mutual-best selection is fused
+//! into the reduce), keeping the same `O(k log D)` bound with a 4x smaller
+//! constant and a shuffle volume of one record per candidate row (8 bytes
+//! per scored pair) instead of one per witness contribution.
 //! This example runs the algorithm on the bundled in-memory MapReduce
 //! engine and prints the actual rounds executed, the records and bytes
 //! shuffled per round, and the phase structure, so the claims can be
@@ -70,12 +71,8 @@ fn main() {
         .max_by_key(|r| r.shuffled_records)
         .expect("at least one round");
     println!(
-        "  heaviest round: {:?} with {} shuffled records ({} pre-combine mapper pairs) \
-         across {} reduce tasks",
-        heaviest.label,
-        heaviest.shuffled_records,
-        heaviest.map_output_records,
-        heaviest.reduce_tasks
+        "  heaviest round: {:?} with {} shuffled row records ({} bytes) across {} reduce tasks",
+        heaviest.label, heaviest.shuffled_records, heaviest.shuffled_bytes, heaviest.reduce_tasks
     );
 
     let max_degree = pair.g1.max_degree().max(pair.g2.max_degree());

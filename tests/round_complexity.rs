@@ -4,8 +4,8 @@
 //! range-partitioned packed shuffle + select-fused reduce collapse each
 //! phase to exactly one round — same bound, 4x smaller constant — and the
 //! per-round statistics let us verify the data-movement claim too: the
-//! shuffle carries one record per *scored pair*, never one per *witness
-//! contribution*.
+//! shuffle carries one record per candidate *row* — at most one per scored
+//! pair, never one per *witness contribution*.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -77,9 +77,9 @@ fn mapreduce_rounds_are_one_fused_round_per_phase() {
             "round {:?} byte accounting",
             round.label
         );
-        assert!(
-            round.map_output_records >= round.shuffled_records,
-            "combiner can only shrink the shuffle"
+        assert_eq!(
+            round.map_output_records, round.shuffled_records,
+            "the engine has no combine stage: every mapped record is shuffled"
         );
     }
 }
