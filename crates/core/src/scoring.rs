@@ -25,7 +25,7 @@
 //! The fused output is bit-for-bit identical to
 //! `mutual_best_pairs(&count_sequential(..), t)` from the reference
 //! implementations in [`crate::witness`]: per-row bests are exact (each
-//! worker sees whole rows), and per-`v` bests merge with [`Best::merge`],
+//! worker sees whole rows), and per-`v` bests merge with `Best::merge`,
 //! which is associative, commutative, and preserves tie-abstention across
 //! worker boundaries. `crates/core/tests/arena_scorer.rs` pins the kernel's
 //! rows and the fused selection against `count_brute_force`.
@@ -406,7 +406,7 @@ impl SelectSink {
     /// sink bit-identical to one that scored every row locally: claim order
     /// is irrelevant ([`SelectSink::finish`] sorts), `scored_pairs` is a
     /// plain sum, and the per-`v` bests merge with the associative,
-    /// commutative, tie-abstaining [`Best::merge`].
+    /// commutative, tie-abstaining `Best::merge`.
     ///
     /// Claims are validated before any state changes: a copy-2 id at or
     /// beyond this sink's `n2`, a zero score, or a claim below this sink's
@@ -592,20 +592,20 @@ impl SinkClaims {
     }
 }
 
-/// Collects the phase's candidate copy-1 nodes: degree at least `min_deg1`
-/// and not yet linked, in ascending id order.
+/// Collects the phase's candidate copy-1 nodes: degree at least
+/// `min_degree` and not yet linked, in ascending id order.
 pub(crate) fn collect_candidates<G1: GraphView>(
     g1: &G1,
     links: &Linking,
-    min_deg1: usize,
+    min_degree: usize,
 ) -> Vec<u32> {
     (0..g1.node_count() as u32)
-        .filter(|&u| g1.degree(NodeId(u)) >= min_deg1 && !links.is_linked_g1(NodeId(u)))
+        .filter(|&u| g1.degree(NodeId(u)) >= min_degree && !links.is_linked_g1(NodeId(u)))
         .collect()
 }
 
 /// Per-run cache of one graph side's degree structure, replacing the
-/// per-phase full rescan of [`collect_candidates`].
+/// per-phase full rescan of `collect_candidates`.
 ///
 /// Every phase of every iteration used to read the degree of *all* `n`
 /// nodes again — `O(k · log D · n)` degree lookups, each a potential page
@@ -615,7 +615,7 @@ pub(crate) fn collect_candidates<G1: GraphView>(
 /// assembled from whole groups — only the split group of a non-power-of-two
 /// `min_degree` ever re-reads a degree — filtered by the current link state.
 ///
-/// [`CandidateCache::eligible`] returns exactly what [`collect_candidates`]
+/// [`CandidateCache::eligible`] returns exactly what `collect_candidates`
 /// would (pinned by the equivalence tests), so cached and uncached phases
 /// produce bit-identical links.
 pub struct CandidateCache {
@@ -644,7 +644,7 @@ impl CandidateCache {
 
     /// The ids with degree at least `min_degree` (≥ 1) for which
     /// `is_linked` is false, ascending — exactly
-    /// [`collect_candidates`]' output for the matching side.
+    /// `collect_candidates`' output for the matching side.
     ///
     /// Group `j` covers degrees `[2^j, 2^{j+1})`, so groups above
     /// `⌊log₂ min_degree⌋` qualify wholesale; only that boundary group needs
@@ -742,39 +742,32 @@ pub fn score_row<G1: GraphView>(g1: &G1, cache: &LinkCache, u: NodeId, arena: &m
 }
 
 /// Scores a contiguous range of rows through a prebuilt per-phase
-/// [`LinkCache`] into `sink` — the worker-side kernel of the distributed
-/// shard driver.
+/// [`LinkCache`] into `sink` — the kernel of one shard-driver task.
 ///
-/// `g1_rows` is a view of copy-1 rows indexed by *local* id; `base` maps
-/// local row `r` to global candidate id `base + r` (a view holding the whole
-/// graph passes `base = 0`). Neighbor ids inside `g1_rows` are always
-/// global, which is what segment row-range extraction preserves. Candidate
-/// filtering matches [`collect_candidates`] exactly: a row is scored iff its
-/// degree reaches `min_deg1` and its global id is unlinked; empty rows are
-/// skipped. Running disjoint ranges that tile `0..n1` through fresh
-/// [`SelectSink`]s and absorbing their claims reproduces [`fused_phase`]
-/// bit-for-bit.
-#[allow(clippy::too_many_arguments)]
+/// `g1` holds the whole copy-1 node space (an mmap view or a sharded view
+/// routing global ids), and `rows` are global ids. Candidate filtering
+/// matches the fused phase exactly: a row is scored iff its degree reaches
+/// `min_degree` and it is unlinked; empty rows are skipped. Running
+/// disjoint ranges that tile `0..n1` through fresh [`SelectSink`]s and
+/// absorbing their claims reproduces [`fused_phase`] bit-for-bit.
 pub fn score_assigned_rows<G1: GraphView>(
-    g1_rows: &G1,
-    base: u32,
-    local_rows: std::ops::Range<u32>,
+    g1: &G1,
+    rows: std::ops::Range<u32>,
     cache: &LinkCache,
     links: &Linking,
-    min_deg1: usize,
+    min_degree: usize,
     arena: &mut ScoreArena,
     sink: &mut SelectSink,
 ) {
     // A worker reads exactly this row range; tell mmap-backed views to
     // prefetch it (no-op for in-memory views).
-    g1_rows.advise_rows(local_rows.clone());
-    for local in local_rows {
-        let global = base + local;
-        if g1_rows.degree(NodeId(local)) < min_deg1 || links.is_linked_g1(NodeId(global)) {
+    g1.advise_rows(rows.clone());
+    for u in rows {
+        if g1.degree(NodeId(u)) < min_degree || links.is_linked_g1(NodeId(u)) {
             continue;
         }
-        score_row(g1_rows, cache, NodeId(local), arena);
-        sink.row(global, arena);
+        score_row(g1, cache, NodeId(u), arena);
+        sink.row(u, arena);
     }
 }
 
@@ -886,8 +879,8 @@ pub fn fused_phase<G1, G2>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
+    min_deg_g1: usize,
+    min_deg_g2: usize,
     threshold: u32,
     parallel: bool,
 ) -> (usize, Vec<(NodeId, NodeId)>)
@@ -895,8 +888,8 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    let candidates = collect_candidates(g1, links, min_deg1);
-    let cache = LinkCache::build_for_phase(g2, links, min_deg2, parallel);
+    let candidates = collect_candidates(g1, links, min_deg_g1);
+    let cache = LinkCache::build_for_phase(g2, links, min_deg_g2, parallel);
     let n2 = g2.node_count();
     score_phase_cached(g1, &cache, n2, &candidates, parallel, || SelectSink::new(n2, threshold))
         .finish()
@@ -957,7 +950,7 @@ where
 /// engine: row-scoring mappers, packed shuffle, fused select reduce.
 ///
 /// * **Map** — each task scores a contiguous chunk of candidate copy-1 rows
-///   via [`score_chunk_to_rows`], emitting one pre-aggregated record per
+///   via `score_chunk_to_rows`, emitting one pre-aggregated record per
 ///   candidate row: a dense `u32` key and the row's packed `(v, count)`
 ///   entries.
 /// * **Shuffle** — records are range-partitioned by `u`
@@ -965,7 +958,7 @@ where
 ///   range in ascending order.
 /// * **Reduce** — each partition folds its rows straight into a
 ///   [`SelectSink`]; the per-partition sinks merge exactly like the rayon
-///   backend's per-worker sinks ([`Best::merge`] is associative and
+///   backend's per-worker sinks (`Best::merge` is associative and
 ///   tie-abstention-preserving), so no global score table is ever built.
 ///
 /// Returns `(scored_pairs, selected_pairs)`, bit-for-bit identical to
@@ -986,16 +979,16 @@ pub fn mapreduce_fused_phase<G1, G2>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
+    min_deg_g1: usize,
+    min_deg_g2: usize,
     threshold: u32,
 ) -> Result<(usize, Vec<(NodeId, NodeId)>), EngineError>
 where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    let candidates = collect_candidates(g1, links, min_deg1);
-    mapreduce_fused_phase_on(engine, g1, g2, links, candidates, min_deg2, threshold)
+    let candidates = collect_candidates(g1, links, min_deg_g1);
+    mapreduce_fused_phase_on(engine, g1, g2, links, candidates, min_deg_g2, threshold)
 }
 
 /// [`mapreduce_fused_phase`] over a caller-supplied candidate list
@@ -1005,7 +998,7 @@ where
 ///
 /// The round runs through [`Engine::run`]: when the engine carries a
 /// memory budget the shuffle spills to checksummed run files
-/// ([`PackedRowCodec`]), and any spill I/O or corruption failure surfaces
+/// (`PackedRowCodec`), and any spill I/O or corruption failure surfaces
 /// as a clean [`EngineError`].
 pub fn mapreduce_fused_phase_on<G1, G2>(
     engine: &Engine,
@@ -1429,44 +1422,6 @@ mod tests {
         );
     }
 
-    /// Read-only window over a contiguous row range of a `CsrGraph`: rows
-    /// are addressed by local id, neighbor ids stay global — the shape a
-    /// worker sees after range-addressed segment extraction.
-    struct RowWindow<'a> {
-        g: &'a CsrGraph,
-        rows: std::ops::Range<u32>,
-    }
-
-    impl GraphView for RowWindow<'_> {
-        fn node_count(&self) -> usize {
-            self.rows.len()
-        }
-        fn edge_count(&self) -> usize {
-            GraphView::edge_count(self.g)
-        }
-        fn is_directed(&self) -> bool {
-            GraphView::is_directed(self.g)
-        }
-        fn max_degree(&self) -> usize {
-            GraphView::max_degree(self.g)
-        }
-        fn degree(&self, v: NodeId) -> usize {
-            GraphView::degree(self.g, NodeId(self.rows.start + v.0))
-        }
-        fn total_degree(&self) -> usize {
-            GraphView::total_degree(self.g)
-        }
-        fn neighbors_iter(&self, v: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-            GraphView::neighbors_iter(self.g, NodeId(self.rows.start + v.0))
-        }
-        fn neighbor_cursor(&self, v: NodeId) -> impl snr_graph::intersect::SortedCursor + '_ {
-            GraphView::neighbor_cursor(self.g, NodeId(self.rows.start + v.0))
-        }
-        fn memory_bytes(&self) -> usize {
-            GraphView::memory_bytes(self.g)
-        }
-    }
-
     #[test]
     fn range_scored_claims_reassemble_the_fused_selection() {
         let (g1, g2, links) = pa_workload(53, 400, 6);
@@ -1480,19 +1435,9 @@ mod tests {
             // sink whose claims make a wire round-trip before absorption.
             for start in (0..n1).step_by(97) {
                 let end = (start + 97).min(n1);
-                let window = RowWindow { g: &g1, rows: start..end };
                 let mut arena = ScoreArena::new(n2);
                 let mut sink = SelectSink::new(n2, t);
-                score_assigned_rows(
-                    &window,
-                    start,
-                    0..(end - start),
-                    &cache,
-                    &links,
-                    d,
-                    &mut arena,
-                    &mut sink,
-                );
+                score_assigned_rows(&g1, start..end, &cache, &links, d, &mut arena, &mut sink);
                 let decoded = SinkClaims::decode(&sink.into_claims().encode()).unwrap();
                 acc.absorb_claims(&decoded).unwrap();
             }
@@ -1509,7 +1454,7 @@ mod tests {
         let cache = LinkCache::build(&g2, &links, 2);
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(&g1, 0, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
+        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         assert_eq!(sink.finish(), expected);
     }
 
@@ -1520,16 +1465,8 @@ mod tests {
         let n2 = g2.node_count();
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(
-            &g1,
-            0,
-            0..g1.node_count() as u32,
-            &cache,
-            &links,
-            2,
-            &mut arena,
-            &mut sink,
-        );
+        let n1 = g1.node_count() as u32;
+        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         let claims = sink.into_claims();
         assert!(claims.claim_count() > 0, "workload must produce claims");
         let bytes = claims.encode();
@@ -1561,16 +1498,8 @@ mod tests {
         let cache = LinkCache::build(&g2, &links, 2);
         let mut arena = ScoreArena::new(n2);
         let mut sink = SelectSink::new(n2, 2);
-        score_assigned_rows(
-            &g1,
-            0,
-            0..g1.node_count() as u32,
-            &cache,
-            &links,
-            2,
-            &mut arena,
-            &mut sink,
-        );
+        let n1 = g1.node_count() as u32;
+        score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         let claims = sink.into_claims();
         assert!(claims.claim_count() > 0);
 

@@ -47,13 +47,13 @@ fn eligible<G1: GraphView, G2: GraphView>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
+    min_deg_g1: usize,
+    min_deg_g2: usize,
     u: NodeId,
     v: NodeId,
 ) -> bool {
-    g1.degree(u) >= min_deg1
-        && g2.degree(v) >= min_deg2
+    g1.degree(u) >= min_deg_g1
+        && g2.degree(v) >= min_deg_g2
         && !links.is_linked_g1(u)
         && !links.is_linked_g2(v)
 }
@@ -67,15 +67,15 @@ fn eligible_g2_neighbors<G2: GraphView>(
     g2: &G2,
     links: &Linking,
     w2: NodeId,
-    min_deg2: usize,
+    min_deg_g2: usize,
     buf: &mut Vec<NodeId>,
 ) {
     g2.neighbors_into(w2, buf);
-    buf.retain(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v));
+    buf.retain(|&v| g2.degree(v) >= min_deg_g2 && !links.is_linked_g2(v));
 }
 
 /// Counts similarity witnesses for every candidate pair whose copy-1 degree
-/// is at least `min_deg1` and copy-2 degree at least `min_deg2`, skipping
+/// is at least `min_deg_g1` and copy-2 degree at least `min_deg_g2`, skipping
 /// candidates that are already linked — the link-centric reference.
 ///
 /// Excluding already-identified nodes keeps each phase's work proportional
@@ -90,18 +90,18 @@ pub fn count_sequential<G1: GraphView, G2: GraphView>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
+    min_deg_g1: usize,
+    min_deg_g2: usize,
 ) -> ScoreTable {
     let mut scores = ScoreTable::new();
     let mut vs: Vec<NodeId> = Vec::new();
     for (w1, w2) in links.pairs() {
-        eligible_g2_neighbors(g2, links, w2, min_deg2, &mut vs);
+        eligible_g2_neighbors(g2, links, w2, min_deg_g2, &mut vs);
         if vs.is_empty() {
             continue;
         }
         for u in g1.neighbors_iter(w1) {
-            if g1.degree(u) < min_deg1 || links.is_linked_g1(u) {
+            if g1.degree(u) < min_deg_g1 || links.is_linked_g1(u) {
                 continue;
             }
             for &v in &vs {
@@ -118,13 +118,13 @@ pub fn count_brute_force<G1: GraphView, G2: GraphView>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
-    min_deg1: usize,
-    min_deg2: usize,
+    min_deg_g1: usize,
+    min_deg_g2: usize,
 ) -> ScoreTable {
     let mut scores = ScoreTable::new();
     for u in g1.nodes_iter() {
         for v in g2.nodes_iter() {
-            if !eligible(g1, g2, links, min_deg1, min_deg2, u, v) {
+            if !eligible(g1, g2, links, min_deg_g1, min_deg_g2, u, v) {
                 continue;
             }
             let mut count = 0u32;

@@ -18,16 +18,13 @@
 //! byte in (and truncates) one claims payload, and `truncate_frame` cuts a
 //! `TaskDone` frame off mid-body and exits.
 
-use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink};
 use snr_core::Linking;
-use snr_driver::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
+use snr_driver::protocol::{read_frame, write_frame, Message};
+use snr_driver::task::{PhaseParams, TaskScorer};
 use snr_driver::DriverError;
 use snr_faults::{corrupt_payload, FaultRegistry, FaultSite};
-use snr_graph::{CompactCsr, NodeId};
-use snr_store::{read_segment, read_segment_rows_file, MmapGraph, ShardedGraph};
-use std::fs::File;
-use std::io::{BufReader, Write};
-use std::path::PathBuf;
+use snr_graph::NodeId;
+use std::io::Write;
 use std::time::Duration;
 
 fn main() {
@@ -39,66 +36,12 @@ fn main() {
     }
 }
 
-/// The copy-1 view: whole (indexed by global row id) or a segment path the
-/// worker range-loads per task.
-enum G1View {
-    Range(PathBuf),
-    Whole(MmapGraph),
-    Sharded(ShardedGraph<MmapGraph>),
-}
-
-/// The copy-2 view (always whole: eligibility spans the full `v` axis).
-enum G2View {
-    Mem(CompactCsr),
-    Map(MmapGraph),
-}
-
-/// Per-phase parameters retained between `Phase` and its `Task`s.
-struct PhaseParams {
-    phase: u32,
-    min_deg1: usize,
-    threshold: u32,
-    cache: LinkCache,
-}
-
 struct WorkerState {
     worker_id: u32,
-    n2: usize,
-    g1: G1View,
-    g2: G2View,
+    scorer: TaskScorer,
     links: Linking,
-    arena: ScoreArena,
+    /// The current phase, once a `Phase` or `Reinit` armed one.
     params: Option<PhaseParams>,
-}
-
-impl WorkerState {
-    /// Rebuilds the `LinkCache` and phase params after the links changed
-    /// (the shared tail of `Phase` and `Reinit`).
-    fn set_phase(&mut self, phase: u32, min_deg1: u32, min_deg2: u32, threshold: u32) {
-        let cache = match &self.g2 {
-            G2View::Mem(g) => LinkCache::build(g, &self.links, min_deg2 as usize),
-            G2View::Map(g) => LinkCache::build(g, &self.links, min_deg2 as usize),
-        };
-        self.params = Some(PhaseParams { phase, min_deg1: min_deg1 as usize, threshold, cache });
-    }
-}
-
-fn open_g1(spec: &G1Spec) -> Result<G1View, DriverError> {
-    Ok(match spec {
-        G1Spec::RangeLoad { path } => G1View::Range(PathBuf::from(path)),
-        G1Spec::MmapWhole { path } => G1View::Whole(MmapGraph::open(path)?),
-        G1Spec::Shards { paths } => G1View::Sharded(ShardedGraph::open(paths)?),
-    })
-}
-
-fn open_g2(spec: &G2Spec) -> Result<G2View, DriverError> {
-    Ok(match spec {
-        G2Spec::Load { path } => {
-            let (_, g) = read_segment(BufReader::new(File::open(path)?))?;
-            G2View::Mem(g)
-        }
-        G2Spec::Mmap { path } => G2View::Map(MmapGraph::open(path)?),
-    })
 }
 
 fn to_pairs(raw: &[(u32, u32)]) -> Vec<(NodeId, NodeId)> {
@@ -119,27 +62,24 @@ fn run() -> Result<(), DriverError> {
         match msg {
             Message::Shutdown => return Ok(()),
             Message::Init { worker_id, n1, n2, g1, g2 } => {
-                let n1 = n1 as usize;
-                let n2 = n2 as usize;
                 state = Some(WorkerState {
                     worker_id,
-                    n2,
-                    g1: open_g1(&g1)?,
-                    g2: open_g2(&g2)?,
-                    links: Linking::new(n1, n2),
-                    arena: ScoreArena::new(n2),
+                    scorer: TaskScorer::open(&g1, &g2)?,
+                    links: Linking::new(n1 as usize, n2 as usize),
                     params: None,
                 });
                 write_frame(&mut stdout, &Message::InitOk { worker_id })?;
             }
-            Message::Phase { phase, min_deg1, min_deg2, threshold, links_delta } => {
+            Message::Phase { phase, min_degree, threshold, links_delta } => {
                 let st = state
                     .as_mut()
                     .ok_or_else(|| DriverError::Protocol("Phase before Init".into()))?;
                 st.links.insert_batch(&to_pairs(&links_delta));
-                st.set_phase(phase, min_deg1, min_deg2, threshold);
+                let params = PhaseParams { phase, min_degree, threshold };
+                st.scorer.prepare(&params, &st.links);
+                st.params = Some(params);
             }
-            Message::Reinit { phase, min_deg1, min_deg2, threshold, links_full } => {
+            Message::Reinit { phase, min_degree, threshold, links_full } => {
                 let st = state
                     .as_mut()
                     .ok_or_else(|| DriverError::Protocol("Reinit before Init".into()))?;
@@ -153,7 +93,9 @@ fn run() -> Result<(), DriverError> {
                     // the Phase frame will follow.
                     st.params = None;
                 } else {
-                    st.set_phase(phase, min_deg1, min_deg2, threshold);
+                    let params = PhaseParams { phase, min_degree, threshold };
+                    st.scorer.prepare(&params, &st.links);
+                    st.params = Some(params);
                 }
             }
             Message::Task { phase, first_node, node_count } => {
@@ -193,44 +135,7 @@ fn run() -> Result<(), DriverError> {
                     first = first_node,
                     rows = node_count
                 );
-                let mut sink = SelectSink::new(st.n2, params.threshold);
-                match &st.g1 {
-                    G1View::Range(path) => {
-                        let (_, rows) =
-                            read_segment_rows_file(path, first_node..first_node + node_count)?;
-                        score_assigned_rows(
-                            &rows,
-                            first_node,
-                            0..node_count,
-                            &params.cache,
-                            &st.links,
-                            params.min_deg1,
-                            &mut st.arena,
-                            &mut sink,
-                        );
-                    }
-                    G1View::Whole(g) => score_assigned_rows(
-                        g,
-                        0,
-                        first_node..first_node + node_count,
-                        &params.cache,
-                        &st.links,
-                        params.min_deg1,
-                        &mut st.arena,
-                        &mut sink,
-                    ),
-                    G1View::Sharded(g) => score_assigned_rows(
-                        g,
-                        0,
-                        first_node..first_node + node_count,
-                        &params.cache,
-                        &st.links,
-                        params.min_deg1,
-                        &mut st.arena,
-                        &mut sink,
-                    ),
-                }
-                let sink_claims = sink.into_claims();
+                let sink_claims = st.scorer.score(params, &st.links, first_node, node_count);
                 snr_telemetry::Counter::ScoredPairs.add(sink_claims.scored_pairs());
                 snr_telemetry::Counter::TasksCompleted.add(1);
                 drop(task_span);

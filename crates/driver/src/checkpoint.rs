@@ -30,7 +30,7 @@ pub const MAGIC: [u8; 4] = *b"SNRC";
 pub const VERSION: u16 = 1;
 
 /// Everything needed to restart a run at its next phase boundary.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Checkpoint {
     /// How the interrupted run's workers opened the scratch segments.
     pub store: DriverStore,
@@ -51,52 +51,9 @@ pub struct Checkpoint {
     pub seeds: Vec<(u32, u32)>,
     /// Every link accumulated through the last complete phase.
     pub links: Vec<(u32, u32)>,
-    /// Counters of every completed phase, in execution order.
-    pub phases: Vec<CheckpointPhase>,
-}
-
-/// One completed phase's counters, as persisted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CheckpointPhase {
-    /// Outer iteration index, starting at 1.
-    pub iteration: u32,
-    /// Degree-bucket exponent (0 when bucketing is disabled).
-    pub bucket: u32,
-    /// Candidate pairs scored in the phase.
-    pub scored_pairs: u64,
-    /// Links added by the phase.
-    pub new_links: u64,
-    /// Total links after the phase.
-    pub total_links: u64,
-    /// Phase wall-clock, microseconds.
-    pub duration_us: u64,
-}
-
-impl From<&PhaseStats> for CheckpointPhase {
-    fn from(p: &PhaseStats) -> Self {
-        CheckpointPhase {
-            iteration: p.iteration,
-            bucket: p.bucket,
-            scored_pairs: p.scored_pairs as u64,
-            new_links: p.new_links as u64,
-            total_links: p.total_links as u64,
-            duration_us: p.duration.as_micros() as u64,
-        }
-    }
-}
-
-impl CheckpointPhase {
-    /// Back-converts to the in-memory stats record.
-    pub fn to_stats(&self) -> PhaseStats {
-        PhaseStats {
-            iteration: self.iteration,
-            bucket: self.bucket,
-            scored_pairs: self.scored_pairs as usize,
-            new_links: self.new_links as usize,
-            total_links: self.total_links as usize,
-            duration: Duration::from_micros(self.duration_us),
-        }
-    }
+    /// Counters of every completed phase, in execution order. Durations
+    /// persist at microsecond resolution.
+    pub phases: Vec<PhaseStats>,
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -197,8 +154,7 @@ impl Checkpoint {
         put_u16(&mut out, VERSION);
         put_u16(&mut out, STORE_VERSION);
         let (tag, shards) = match self.store {
-            DriverStore::Compact => (0u8, 0u32),
-            DriverStore::Mmap => (1, 0),
+            DriverStore::Mmap => (1u8, 0u32),
             DriverStore::Sharded(n) => (2, n as u32),
         };
         out.push(tag);
@@ -215,10 +171,10 @@ impl Checkpoint {
         for p in &self.phases {
             put_u32(&mut out, p.iteration);
             put_u32(&mut out, p.bucket);
-            put_u64(&mut out, p.scored_pairs);
-            put_u64(&mut out, p.new_links);
-            put_u64(&mut out, p.total_links);
-            put_u64(&mut out, p.duration_us);
+            put_u64(&mut out, p.scored_pairs as u64);
+            put_u64(&mut out, p.new_links as u64);
+            put_u64(&mut out, p.total_links as u64);
+            put_u64(&mut out, p.duration.as_micros() as u64);
         }
         let checksum = fnv1a_checksum(&out);
         put_u64(&mut out, checksum);
@@ -258,7 +214,6 @@ impl Checkpoint {
             )));
         }
         let store = match (c.u8()?, c.u32()?) {
-            (0, _) => DriverStore::Compact,
             (1, _) => DriverStore::Mmap,
             (2, n) => DriverStore::Sharded(n as usize),
             (t, _) => return Err(DriverError::Checkpoint(format!("unknown store tag {t}"))),
@@ -278,13 +233,13 @@ impl Checkpoint {
         let phase_count = c.count(40)?;
         let mut phases = Vec::with_capacity(phase_count);
         for _ in 0..phase_count {
-            phases.push(CheckpointPhase {
+            phases.push(PhaseStats {
                 iteration: c.u32()?,
                 bucket: c.u32()?,
-                scored_pairs: c.u64()?,
-                new_links: c.u64()?,
-                total_links: c.u64()?,
-                duration_us: c.u64()?,
+                scored_pairs: c.u64()? as usize,
+                new_links: c.u64()? as usize,
+                total_links: c.u64()? as usize,
+                duration: Duration::from_micros(c.u64()?),
             });
         }
         c.finish()?;
@@ -301,7 +256,7 @@ impl Checkpoint {
             phases,
         };
         if let Some(last) = cp.phases.last() {
-            if last.total_links != cp.links.len() as u64 {
+            if last.total_links != cp.links.len() {
                 return Err(DriverError::Checkpoint(format!(
                     "last phase reports {} total links but {} are stored",
                     last.total_links,
@@ -331,11 +286,6 @@ impl Checkpoint {
             .map_err(|e| DriverError::Checkpoint(format!("cannot read {}: {e}", path.display())))?;
         Checkpoint::decode(&bytes)
     }
-
-    /// The persisted phase counters as in-memory stats records.
-    pub fn phase_stats(&self) -> Vec<PhaseStats> {
-        self.phases.iter().map(CheckpointPhase::to_stats).collect()
-    }
 }
 
 #[cfg(test)]
@@ -354,21 +304,21 @@ mod tests {
             seeds: vec![(0, 0), (5, 7), (5, 7)],
             links: vec![(0, 0), (5, 7), (9, 9), (10, 11)],
             phases: vec![
-                CheckpointPhase {
+                PhaseStats {
                     iteration: 1,
                     bucket: 5,
                     scored_pairs: 1234,
                     new_links: 1,
                     total_links: 3,
-                    duration_us: 1500,
+                    duration: Duration::from_micros(1500),
                 },
-                CheckpointPhase {
+                PhaseStats {
                     iteration: 1,
                     bucket: 4,
                     scored_pairs: 777,
                     new_links: 1,
                     total_links: 4,
-                    duration_us: 900,
+                    duration: Duration::from_micros(900),
                 },
             ],
         }
@@ -379,11 +329,9 @@ mod tests {
         let cp = sample();
         let bytes = cp.encode();
         assert_eq!(Checkpoint::decode(&bytes).unwrap(), cp);
-        for store in [DriverStore::Compact, DriverStore::Mmap] {
-            let mut cp = sample();
-            cp.store = store;
-            assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
-        }
+        let mut cp = sample();
+        cp.store = DriverStore::Mmap;
+        assert_eq!(Checkpoint::decode(&cp.encode()).unwrap(), cp);
     }
 
     #[test]
@@ -415,6 +363,13 @@ mod tests {
         }
         assert!(Checkpoint::decode(&[0x55; 64]).is_err());
         assert!(Checkpoint::decode(&[]).is_err());
+        // A checksum-valid body naming store tag 0, which no driver store
+        // encodes (the tag byte follows magic and both versions).
+        let mut tag0 = bytes[..bytes.len() - 8].to_vec();
+        tag0[8] = 0;
+        let checksum = fnv1a_checksum(&tag0);
+        tag0.extend_from_slice(&checksum.to_le_bytes());
+        assert!(matches!(Checkpoint::decode(&tag0), Err(DriverError::Checkpoint(_))));
     }
 
     #[test]

@@ -29,15 +29,15 @@
 //! delta would hold — so a `Reinit` frame carrying the full snapshot
 //! brings a *fresh* process (respawn, resume) to a state bit-identical to
 //! an uninterrupted worker's, and the in-process degradation path scores
-//! row-ranges through the very same `score_assigned_rows` + `SelectSink`
-//! code the workers run.
+//! row-ranges through the very same [`TaskScorer`] the workers run, over
+//! the same scratch segments.
 //!
 //! # Fault tolerance and self-healing
 //!
 //! A worker that dies (pipe EOF, nonzero exit, undecodable claims) or
 //! misses its round deadline has its row-range re-queued for the
 //! surviving workers; stragglers get one speculative grace period and are
-//! then killed. On top of that PR-6 baseline sit three healing layers:
+//! then killed. On top of that sit three healing layers:
 //!
 //! 1. **Respawn** — every death schedules a relaunch with exponential
 //!    backoff (50 ms · 2^attempt) while the per-run
@@ -56,35 +56,32 @@
 //! `DegradePolicy::Fail`, or one row-range burning through the retry
 //! budget — surface as [`DriverError`], never a hang.
 
-use crate::checkpoint::{Checkpoint, CheckpointPhase, CHECKPOINT_FILE};
+use crate::checkpoint::{Checkpoint, CHECKPOINT_FILE};
 use crate::error::DriverError;
 use crate::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
-use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
+use crate::task::{PhaseParams, TaskScorer};
+use snr_core::scoring::{SelectSink, SinkClaims};
 use snr_core::{Linking, MatchingConfig, MatchingOutcome, PhaseStats};
 use snr_faults::{FaultRegistry, FaultSite};
-use snr_graph::{CompactCsr, GraphView, NodeId};
+use snr_graph::{GraphView, NodeId};
 use snr_store::segment::{SegmentMeta, HEADER_LEN};
-use snr_store::{
-    read_segment, read_segment_rows_file, write_segment_file, write_shard_segments, MmapGraph,
-    ShardedGraph,
-};
+use snr_store::{write_segment_file, write_shard_segments, ShardedGraph};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::time::{Duration, Instant};
 
-/// How the driver materializes graphs for its workers.
+/// How the driver lays g1 out on disk for its workers. Either way the
+/// workers (and the degradation path) memory-map the segments, and g2 is
+/// one whole-graph segment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DriverStore {
-    /// Workers read each assigned row-range into an in-memory `CompactCsr`
-    /// (and load g2 whole); no worker ever holds all of g1.
-    Compact,
-    /// Workers memory-map one whole-graph segment per side.
+    /// One whole-graph segment per side.
     Mmap,
     /// g1 is split into this many shard segments; workers map them through
     /// a `ShardedGraph` view, and each shard is one task.
@@ -99,8 +96,8 @@ pub enum DegradePolicy {
     /// behavior).
     Fail,
     /// Finish the remaining row-ranges in-process through the same
-    /// `score_assigned_rows` + `SelectSink` path the workers run: slower,
-    /// but bit-identical and always completes.
+    /// [`TaskScorer`] the workers run: slower, but bit-identical and always
+    /// completes.
     #[default]
     InProcess,
 }
@@ -203,11 +200,7 @@ pub struct ShardDriver {
     n1: usize,
     n2: usize,
     max_degree: usize,
-    g1_spec: G1Spec,
-    g2_spec: G2Spec,
-    /// Disjoint `(first_node, node_count)` ranges tiling `0..n1`, ascending.
-    tasks: Vec<(u32, u32)>,
-    segment_bytes: u64,
+    plan: TaskPlan,
     stats: RefCell<RunStats>,
     pids: RefCell<Vec<u32>>,
 }
@@ -229,37 +222,19 @@ impl ShardDriver {
         std::fs::create_dir_all(&scratch)?;
         let g2_path = scratch.join("g2.snrs");
         write_segment_file(g2, &g2_path)?;
-        let g2_spec = g2_spec_for(config.store, &g2_path)?;
-        let (g1_spec, cuts, mut segment_bytes) = match config.store {
-            DriverStore::Compact | DriverStore::Mmap => {
-                let g1_path = scratch.join("g1.snrs");
-                write_segment_file(g1, &g1_path)?;
-                let parts = config.workers.max(1) * TASKS_PER_WORKER;
-                let cuts = snr_store::shard_boundaries(g1, parts);
-                let spec = if matches!(config.store, DriverStore::Compact) {
-                    G1Spec::RangeLoad { path: path_str(&g1_path)? }
-                } else {
-                    G1Spec::MmapWhole { path: path_str(&g1_path)? }
-                };
-                (spec, cuts, file_len(&g1_path))
+        let g1_paths = match config.store {
+            DriverStore::Mmap => {
+                let path = scratch.join("g1.snrs");
+                write_segment_file(g1, &path)?;
+                vec![path]
             }
             DriverStore::Sharded(n) => {
                 let shard_dir = scratch.join("g1-shards");
                 std::fs::create_dir_all(&shard_dir)?;
-                let paths = write_shard_segments(g1, n.max(1), &shard_dir)?;
-                let cuts = snr_store::shard_boundaries(g1, n.max(1));
-                let mut bytes = 0u64;
-                let mut strs = Vec::with_capacity(paths.len());
-                for p in &paths {
-                    bytes += file_len(p);
-                    strs.push(path_str(p)?);
-                }
-                (G1Spec::Shards { paths: strs }, cuts, bytes)
+                write_shard_segments(g1, n.max(1), &shard_dir)?
             }
         };
-        segment_bytes += file_len(&g2_path);
-        let tasks: Vec<(u32, u32)> =
-            cuts.windows(2).map(|w| (w[0], w[1] - w[0])).filter(|&(_, count)| count > 0).collect();
+        let plan = TaskPlan::new(g1, &config, &g1_paths, &g2_path)?;
         Ok(ShardDriver {
             config,
             faults,
@@ -268,10 +243,7 @@ impl ShardDriver {
             n1: g1.node_count(),
             n2: g2.node_count(),
             max_degree: g1.max_degree().max(g2.max_degree()),
-            g1_spec,
-            g2_spec,
-            tasks,
-            segment_bytes,
+            plan,
             stats: RefCell::new(RunStats::default()),
             pids: RefCell::new(Vec::new()),
         })
@@ -337,52 +309,34 @@ impl ShardDriver {
                 cp.n2, g2_meta.node_count
             )));
         }
-        let g2_spec = g2_spec_for(config.store, &g2_path)?;
-        let (g1_spec, cuts, g1_max_degree, mut segment_bytes) = match config.store {
-            DriverStore::Compact | DriverStore::Mmap => {
-                let g1_path = scratch.join("g1.snrs");
-                let g1 = MmapGraph::open(&g1_path)?;
-                check_n1(g1.node_count(), cp)?;
-                let parts = config.workers.max(1) * TASKS_PER_WORKER;
-                let cuts = snr_store::shard_boundaries(&g1, parts);
-                let spec = if matches!(config.store, DriverStore::Compact) {
-                    G1Spec::RangeLoad { path: path_str(&g1_path)? }
-                } else {
-                    G1Spec::MmapWhole { path: path_str(&g1_path)? }
-                };
-                (spec, cuts, g1.max_degree(), file_len(&g1_path))
-            }
-            DriverStore::Sharded(n) => {
+        let g1_paths = match config.store {
+            DriverStore::Mmap => vec![scratch.join("g1.snrs")],
+            DriverStore::Sharded(_) => {
                 let shard_dir = scratch.join("g1-shards");
-                let mut paths = Vec::new();
-                loop {
-                    let p = shard_dir.join(format!("shard-{}.snrs", paths.len()));
-                    if !p.exists() {
-                        break;
-                    }
-                    paths.push(p);
-                }
+                let paths: Vec<PathBuf> = (0..)
+                    .map(|k| shard_dir.join(format!("shard-{k}.snrs")))
+                    .take_while(|p| p.exists())
+                    .collect();
                 if paths.is_empty() {
                     return Err(DriverError::Checkpoint(format!(
                         "checkpoint expects sharded g1 but {} holds no shard-*.snrs",
                         shard_dir.display()
                     )));
                 }
-                let g1 = ShardedGraph::open(&paths)?;
-                check_n1(g1.node_count(), cp)?;
-                let cuts = snr_store::shard_boundaries(&g1, n.max(1));
-                let mut bytes = 0u64;
-                let mut strs = Vec::with_capacity(paths.len());
-                for p in &paths {
-                    bytes += file_len(p);
-                    strs.push(path_str(p)?);
-                }
-                (G1Spec::Shards { paths: strs }, cuts, g1.max_degree(), bytes)
+                paths
             }
         };
-        segment_bytes += file_len(&g2_path);
-        let tasks: Vec<(u32, u32)> =
-            cuts.windows(2).map(|w| (w[0], w[1] - w[0])).filter(|&(_, count)| count > 0).collect();
+        // A whole-graph segment is a sharded view with one shard, so both
+        // stores reopen (and checksum) through the same view.
+        let g1 = ShardedGraph::open(&g1_paths)?;
+        if g1.node_count() as u64 != cp.n1 {
+            return Err(DriverError::Checkpoint(format!(
+                "checkpoint says n1={} but the g1 segments hold {} nodes",
+                cp.n1,
+                g1.node_count()
+            )));
+        }
+        let plan = TaskPlan::new(&g1, &config, &g1_paths, &g2_path)?;
         Ok(ShardDriver {
             config,
             faults,
@@ -390,11 +344,8 @@ impl ShardDriver {
             keep_scratch: Cell::new(false),
             n1: cp.n1 as usize,
             n2: cp.n2 as usize,
-            max_degree: g1_max_degree.max(g2_meta.max_degree),
-            g1_spec,
-            g2_spec,
-            tasks,
-            segment_bytes,
+            max_degree: g1.max_degree().max(g2_meta.max_degree),
+            plan,
             stats: RefCell::new(RunStats::default()),
             pids: RefCell::new(Vec::new()),
         })
@@ -402,12 +353,12 @@ impl ShardDriver {
 
     /// Total bytes of the scratch segment files shipped to workers.
     pub fn segment_bytes(&self) -> u64 {
-        self.segment_bytes
+        self.plan.segment_bytes
     }
 
     /// Number of row-range tasks per phase.
     pub fn task_count(&self) -> usize {
-        self.tasks.len()
+        self.plan.tasks.len()
     }
 
     /// The scratch directory holding segments and the checkpoint. Kept on
@@ -457,7 +408,7 @@ impl ShardDriver {
             let pairs: Vec<(NodeId, NodeId)> =
                 cp.links.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
             links.insert_batch(&pairs);
-            phases = cp.phase_stats();
+            phases = cp.phases.clone();
         }
         let schedule = cfg.schedule(self.max_degree);
         if phases.len() > schedule.len() {
@@ -469,7 +420,7 @@ impl ShardDriver {
         }
         let completed = phases.len();
         let mut pool = WorkerPool::spawn(self)?;
-        let mut inproc: Option<InProcess> = None;
+        let mut inproc: Option<TaskScorer> = None;
         // The delta a *Ready* worker folds in at the next Phase broadcast.
         // A fresh pool (first phase of a run, or any resume) has no Ready
         // workers yet; those sync through Reinit's full snapshot instead.
@@ -543,7 +494,7 @@ impl ShardDriver {
             min_bucket: cfg.min_bucket,
             seeds: seeds.iter().map(|&(a, b)| (a.0, b.0)).collect(),
             links: links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
-            phases: phases.iter().map(CheckpointPhase::from).collect(),
+            phases: phases.to_vec(),
         };
         let result = if self.faults.fire(FaultSite::CheckpointIo, None, Some(phase_no)).is_some() {
             Err(DriverError::Io(std::io::Error::other("injected checkpoint_io fault")))
@@ -579,22 +530,22 @@ impl ShardDriver {
         min_degree: u32,
         delta: &[(u32, u32)],
         links: &Linking,
-        inproc: &mut Option<InProcess>,
+        inproc: &mut Option<TaskScorer>,
     ) -> Result<(usize, Vec<(NodeId, NodeId)>), DriverError> {
         let threshold = self.config.matching.threshold;
-        pool.phase = PhaseCtx { phase, min_degree, threshold };
+        let params = PhaseParams { phase, min_degree, threshold };
+        pool.phase = params;
         {
             let _bspan = snr_telemetry::span!("broadcast", phase = phase, delta = delta.len());
             pool.broadcast_ready(&Message::Phase {
                 phase,
-                min_deg1: min_degree,
-                min_deg2: min_degree,
+                min_degree,
                 threshold,
                 links_delta: delta.to_vec(),
             });
         }
         let mut sink = SelectSink::new(self.n2, threshold);
-        let total = self.tasks.len();
+        let total = self.plan.tasks.len();
         if total == 0 {
             return Ok(sink.finish());
         }
@@ -613,8 +564,7 @@ impl ShardDriver {
             if pool.potential_workers() == 0 {
                 if matches!(self.config.degrade, DegradePolicy::InProcess) {
                     self.finish_in_process(
-                        phase,
-                        min_degree,
+                        &params,
                         links,
                         inproc,
                         &mut sink,
@@ -641,14 +591,14 @@ impl ShardDriver {
                 attempts[task] += 1;
                 if attempts[task] > attempt_budget {
                     return Err(DriverError::TaskAbandoned {
-                        first_node: self.tasks[task].0,
-                        node_count: self.tasks[task].1,
+                        first_node: self.plan.tasks[task].0,
+                        node_count: self.plan.tasks[task].1,
                         attempts: attempts[task],
                         workers: std::mem::take(&mut assigned_to[task]),
                         last_fault: pool.last_fault.clone(),
                     });
                 }
-                let (first_node, node_count) = self.tasks[task];
+                let (first_node, node_count) = self.plan.tasks[task];
                 assigned_to[task].push(w);
                 if !pool.assign(
                     w,
@@ -765,7 +715,7 @@ impl ShardDriver {
                                 w,
                                 &format!(
                                     "worker {w} missed two deadlines for the row-range at {}",
-                                    self.tasks[task].0
+                                    self.plan.tasks[task].0
                                 ),
                             ) {
                                 if !done[t] {
@@ -800,81 +750,35 @@ impl ShardDriver {
     }
 
     /// The degradation path: scores every remaining row-range in the
-    /// coordinator's own process through the same `score_assigned_rows` +
-    /// `SelectSink` pipeline the workers run, absorbing each range's claims
-    /// into the phase sink. Bit-identical by construction (the in-memory
-    /// claims skip only the encode/decode roundtrip, which is an identity).
-    #[allow(clippy::too_many_arguments)]
+    /// coordinator's own process through a [`TaskScorer`] over the scratch
+    /// segments (opened on first use), absorbing each range's claims into
+    /// the phase sink. Bit-identical by construction: the workers score
+    /// through the same type, and the in-memory claims skip only the
+    /// encode/decode roundtrip, which is an identity.
     fn finish_in_process(
         &self,
-        phase: u32,
-        min_degree: u32,
+        params: &PhaseParams,
         links: &Linking,
-        inproc: &mut Option<InProcess>,
+        inproc: &mut Option<TaskScorer>,
         sink: &mut SelectSink,
         done: &mut [bool],
         done_count: &mut usize,
     ) -> Result<(), DriverError> {
-        if inproc.is_none() {
-            *inproc = Some(InProcess::open(&self.g1_spec, &self.g2_spec, self.n2)?);
-        }
-        let ip = inproc.as_mut().expect("just opened");
-        if ip.cache.as_ref().map(|&(p, _)| p) != Some(phase) {
-            let cache = match &ip.g2 {
-                CoordG2::Mem(g) => LinkCache::build(g, links, min_degree as usize),
-                CoordG2::Map(g) => LinkCache::build(g, links, min_degree as usize),
-            };
-            ip.cache = Some((phase, cache));
-        }
-        let cache = &ip.cache.as_ref().expect("just built").1;
-        let threshold = self.config.matching.threshold;
+        let scorer = match inproc {
+            Some(scorer) => scorer,
+            None => inproc.insert(TaskScorer::open(&self.plan.g1_spec, &self.plan.g2_spec)?),
+        };
         let mut scored = 0u64;
-        for (task, &(first_node, node_count)) in self.tasks.iter().enumerate() {
+        for (task, &(first_node, node_count)) in self.plan.tasks.iter().enumerate() {
             if done[task] {
                 continue;
             }
-            let mut task_sink = SelectSink::new(self.n2, threshold);
-            match &ip.g1 {
-                CoordG1::Range(path) => {
-                    let (_, rows) =
-                        read_segment_rows_file(path, first_node..first_node + node_count)?;
-                    score_assigned_rows(
-                        &rows,
-                        first_node,
-                        0..node_count,
-                        cache,
-                        links,
-                        min_degree as usize,
-                        &mut ip.arena,
-                        &mut task_sink,
-                    );
-                }
-                CoordG1::Whole(g) => score_assigned_rows(
-                    g,
-                    0,
-                    first_node..first_node + node_count,
-                    cache,
-                    links,
-                    min_degree as usize,
-                    &mut ip.arena,
-                    &mut task_sink,
-                ),
-                CoordG1::Sharded(g) => score_assigned_rows(
-                    g,
-                    0,
-                    first_node..first_node + node_count,
-                    cache,
-                    links,
-                    min_degree as usize,
-                    &mut ip.arena,
-                    &mut task_sink,
-                ),
-            }
-            sink.absorb_claims(&task_sink.into_claims())?;
+            sink.absorb_claims(&scorer.score(params, links, first_node, node_count))?;
             done[task] = true;
             *done_count += 1;
             scored += 1;
         }
+        let phase = params.phase;
         self.stats.borrow_mut().degraded_tasks += scored;
         snr_telemetry::Counter::DegradedTasks.add(scored);
         snr_telemetry::event!("degraded", phase = phase, tasks = scored);
@@ -886,7 +790,7 @@ impl ShardDriver {
 
     /// Maps an echoed range start back to its task index.
     fn task_index(&self, first_node: u32) -> Result<usize, DriverError> {
-        self.tasks.binary_search_by_key(&first_node, |&(first, _)| first).map_err(|_| {
+        self.plan.tasks.binary_search_by_key(&first_node, |&(first, _)| first).map_err(|_| {
             DriverError::Protocol(format!("TaskDone for unknown row-range at {first_node}"))
         })
     }
@@ -928,21 +832,47 @@ fn parse_faults(config: &DriverConfig) -> Result<FaultRegistry, DriverError> {
     }
 }
 
-fn g2_spec_for(store: DriverStore, g2_path: &Path) -> Result<G2Spec, DriverError> {
-    Ok(match store {
-        DriverStore::Compact => G2Spec::Load { path: path_str(g2_path)? },
-        DriverStore::Mmap | DriverStore::Sharded(_) => G2Spec::Mmap { path: path_str(g2_path)? },
-    })
+/// What `new` and `reopen` both derive from the scratch segments: the
+/// specs workers open them by, the task tiling, and the bytes shipped.
+struct TaskPlan {
+    g1_spec: G1Spec,
+    g2_spec: G2Spec,
+    /// Disjoint `(first_node, node_count)` ranges tiling `0..n1`, ascending.
+    tasks: Vec<(u32, u32)>,
+    segment_bytes: u64,
 }
 
-fn check_n1(actual: usize, cp: &Checkpoint) -> Result<(), DriverError> {
-    if actual as u64 != cp.n1 {
-        return Err(DriverError::Checkpoint(format!(
-            "checkpoint says n1={} but the g1 segments hold {} nodes",
-            cp.n1, actual
-        )));
+impl TaskPlan {
+    /// Plans the run over `g1`, the graph whose segments sit at `g1_paths`
+    /// (the caller's graph in `new`, the reopened segments in `reopen`).
+    fn new<G: GraphView>(
+        g1: &G,
+        config: &DriverConfig,
+        g1_paths: &[PathBuf],
+        g2_path: &Path,
+    ) -> Result<TaskPlan, DriverError> {
+        let (g1_spec, parts) = match config.store {
+            DriverStore::Mmap => (
+                G1Spec::MmapWhole { path: path_str(&g1_paths[0])? },
+                config.workers.max(1) * TASKS_PER_WORKER,
+            ),
+            DriverStore::Sharded(n) => {
+                let paths = g1_paths.iter().map(|p| path_str(p)).collect::<Result<_, _>>()?;
+                (G1Spec::Shards { paths }, n.max(1))
+            }
+        };
+        let cuts = snr_store::shard_boundaries(g1, parts);
+        Ok(TaskPlan {
+            g1_spec,
+            g2_spec: G2Spec { path: path_str(g2_path)? },
+            tasks: cuts
+                .windows(2)
+                .map(|w| (w[0], w[1] - w[0]))
+                .filter(|&(_, count)| count > 0)
+                .collect(),
+            segment_bytes: g1_paths.iter().map(|p| file_len(p)).sum::<u64>() + file_len(g2_path),
+        })
     }
-    Ok(())
 }
 
 /// Reads just the header of a segment file (node counts, max degree) for
@@ -965,53 +895,6 @@ fn path_str(p: &Path) -> Result<String, DriverError> {
 
 fn file_len(p: &Path) -> u64 {
     std::fs::metadata(p).map(|m| m.len()).unwrap_or(0)
-}
-
-/// The coordinator's own graph views for the degradation path, opened
-/// lazily from the same scratch segments the workers use.
-struct InProcess {
-    g1: CoordG1,
-    g2: CoordG2,
-    arena: ScoreArena,
-    /// Phase-stamped `LinkCache` so consecutive degraded phases rebuild it
-    /// exactly once each.
-    cache: Option<(u32, LinkCache)>,
-}
-
-enum CoordG1 {
-    Range(PathBuf),
-    Whole(MmapGraph),
-    Sharded(ShardedGraph<MmapGraph>),
-}
-
-enum CoordG2 {
-    Mem(CompactCsr),
-    Map(MmapGraph),
-}
-
-impl InProcess {
-    fn open(g1: &G1Spec, g2: &G2Spec, n2: usize) -> Result<InProcess, DriverError> {
-        let g1 = match g1 {
-            G1Spec::RangeLoad { path } => CoordG1::Range(PathBuf::from(path)),
-            G1Spec::MmapWhole { path } => CoordG1::Whole(MmapGraph::open(path)?),
-            G1Spec::Shards { paths } => CoordG1::Sharded(ShardedGraph::open(paths)?),
-        };
-        let g2 = match g2 {
-            G2Spec::Load { path } => {
-                let (_, g) = read_segment(BufReader::new(File::open(path)?))?;
-                CoordG2::Mem(g)
-            }
-            G2Spec::Mmap { path } => CoordG2::Map(MmapGraph::open(path)?),
-        };
-        Ok(InProcess { g1, g2, arena: ScoreArena::new(n2), cache: None })
-    }
-}
-
-/// The phase parameters a `Reinit` answer to a late `InitOk` must carry.
-struct PhaseCtx {
-    phase: u32,
-    min_degree: u32,
-    threshold: u32,
 }
 
 /// What one worker is currently chewing on.
@@ -1068,7 +951,7 @@ struct WorkerPool {
     /// The most recent failure description (surfaced in errors).
     last_fault: Option<String>,
     /// Parameters of the phase currently running (for `Reinit`).
-    phase: PhaseCtx,
+    phase: PhaseParams,
     bin: PathBuf,
 }
 
@@ -1095,7 +978,7 @@ impl WorkerPool {
             pending_respawn: Vec::new(),
             respawns_used: 0,
             last_fault: None,
-            phase: PhaseCtx { phase: 0, min_degree: 0, threshold: 0 },
+            phase: PhaseParams { phase: 0, min_degree: 0, threshold: 0 },
             bin,
         };
         for w in 0..pool.slots.len() {
@@ -1197,8 +1080,8 @@ impl WorkerPool {
             worker_id: id,
             n1: driver.n1 as u64,
             n2: driver.n2 as u64,
-            g1: driver.g1_spec.clone(),
-            g2: driver.g2_spec.clone(),
+            g1: driver.plan.g1_spec.clone(),
+            g2: driver.plan.g2_spec.clone(),
         };
         if !self.send(id, &init) {
             self.reap(w);
@@ -1249,8 +1132,7 @@ impl WorkerPool {
         }
         let reinit = Message::Reinit {
             phase: self.phase.phase,
-            min_deg1: self.phase.min_degree,
-            min_deg2: self.phase.min_degree,
+            min_degree: self.phase.min_degree,
             threshold: self.phase.threshold,
             links_full: links.pairs().map(|(a, b)| (a.0, b.0)).collect(),
         };

@@ -8,9 +8,9 @@
 //! every phase of the schedule as one distributed round:
 //!
 //! 1. the coordinator broadcasts the phase parameters and the link delta,
-//! 2. workers score their assigned contiguous row-ranges through the
-//!    task-local `LinkCache` + `ScoreArena` fast path into a local
-//!    `SelectSink`,
+//! 2. workers score their assigned contiguous row-ranges of the
+//!    memory-mapped segments through a [`task::TaskScorer`] (task-local
+//!    `LinkCache` + `ScoreArena` into a local `SelectSink`),
 //! 3. serialized per-range sink claims travel back over stdout and merge
 //!    on the coordinator via `Best::merge`,
 //!
@@ -22,8 +22,8 @@
 //! backoff (within [`DriverConfig::respawn_budget`]); every phase boundary
 //! persists a checksummed checkpoint ([`checkpoint`]) that
 //! [`ShardDriver::resume`] restarts from; and a pool that loses every
-//! worker falls back to scoring the remaining ranges in-process
-//! ([`DegradePolicy::InProcess`]). All recovery paths
+//! worker falls back to scoring the remaining ranges in-process through
+//! the same `TaskScorer` ([`DegradePolicy::InProcess`]). All recovery paths
 //! produce bit-identical results. Unrecoverable failures surface as
 //! [`DriverError`], never a hang.
 //!
@@ -39,6 +39,7 @@ pub mod checkpoint;
 pub mod driver;
 pub mod error;
 pub mod protocol;
+pub mod task;
 
 pub use driver::{
     run_distributed, DegradePolicy, DriverConfig, DriverStore, RunStats, ShardDriver,

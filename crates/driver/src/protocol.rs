@@ -40,43 +40,29 @@ use std::io::{Read, Write};
 /// not turn into a giant allocation.
 pub const MAX_FRAME: usize = 1 << 30;
 
-/// How a worker should open copy-1 rows.
+/// How a worker should open copy-1 rows. Either way the view covers the
+/// whole node space and tasks index it by global row id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum G1Spec {
-    /// One whole-graph segment; materialize each assigned row-range on
-    /// demand via `read_segment_rows_file`.
-    RangeLoad {
-        /// Segment file path.
-        path: String,
-    },
-    /// One whole-graph segment, memory-mapped once; tasks index it by
-    /// global row id.
+    /// One whole-graph segment, memory-mapped once.
     MmapWhole {
         /// Segment file path.
         path: String,
     },
     /// Shard segment files tiling the node space, memory-mapped through
-    /// `ShardedGraph::open`; tasks index the sharded view by global row id.
+    /// `ShardedGraph::open`.
     Shards {
         /// Shard segment paths, in ascending row order.
         paths: Vec<String>,
     },
 }
 
-/// How a worker should open the copy-2 graph (always whole: every worker
+/// The copy-2 segment a worker memory-maps (always whole: every worker
 /// scores against the full `v` axis).
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum G2Spec {
-    /// Read the segment into an in-memory `CompactCsr`.
-    Load {
-        /// Segment file path.
-        path: String,
-    },
-    /// Memory-map the segment.
-    Mmap {
-        /// Segment file path.
-        path: String,
-    },
+pub struct G2Spec {
+    /// Segment file path.
+    pub path: String,
 }
 
 /// One protocol frame body.
@@ -107,10 +93,9 @@ pub enum Message {
     Reinit {
         /// 1-based phase number the snapshot is current for.
         phase: u32,
-        /// Minimum copy-1 degree for candidate rows.
-        min_deg1: u32,
-        /// Minimum copy-2 degree for eligible partners.
-        min_deg2: u32,
+        /// Minimum degree of candidate rows (copy 1) and of eligible
+        /// partners (copy 2).
+        min_degree: u32,
         /// Selection threshold.
         threshold: u32,
         /// Every link pair accumulated so far (seeds included), replacing
@@ -124,10 +109,9 @@ pub enum Message {
     Phase {
         /// 1-based phase number.
         phase: u32,
-        /// Minimum copy-1 degree for candidate rows.
-        min_deg1: u32,
-        /// Minimum copy-2 degree for eligible partners.
-        min_deg2: u32,
+        /// Minimum degree of candidate rows (copy 1) and of eligible
+        /// partners (copy 2).
+        min_degree: u32,
         /// Selection threshold.
         threshold: u32,
         /// Link pairs inserted since the last phase.
@@ -288,10 +272,6 @@ impl<'a> Cursor<'a> {
 impl G1Spec {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
-            G1Spec::RangeLoad { path } => {
-                out.push(0);
-                put_str(out, path);
-            }
             G1Spec::MmapWhole { path } => {
                 out.push(1);
                 put_str(out, path);
@@ -308,7 +288,6 @@ impl G1Spec {
 
     fn decode(c: &mut Cursor<'_>) -> Result<G1Spec, DriverError> {
         match c.u8()? {
-            0 => Ok(G1Spec::RangeLoad { path: c.string()? }),
             1 => Ok(G1Spec::MmapWhole { path: c.string()? }),
             2 => {
                 // Each path costs at least its 4-byte length prefix.
@@ -324,29 +303,6 @@ impl G1Spec {
     }
 }
 
-impl G2Spec {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            G2Spec::Load { path } => {
-                out.push(0);
-                put_str(out, path);
-            }
-            G2Spec::Mmap { path } => {
-                out.push(1);
-                put_str(out, path);
-            }
-        }
-    }
-
-    fn decode(c: &mut Cursor<'_>) -> Result<G2Spec, DriverError> {
-        match c.u8()? {
-            0 => Ok(G2Spec::Load { path: c.string()? }),
-            1 => Ok(G2Spec::Mmap { path: c.string()? }),
-            t => Err(DriverError::Protocol(format!("unknown g2 store tag {t}"))),
-        }
-    }
-}
-
 impl Message {
     /// Serializes the frame body (without the length prefix).
     pub fn encode(&self) -> Vec<u8> {
@@ -358,17 +314,16 @@ impl Message {
                 put_u64(&mut out, *n1);
                 put_u64(&mut out, *n2);
                 g1.encode(&mut out);
-                g2.encode(&mut out);
+                put_str(&mut out, &g2.path);
             }
             Message::InitOk { worker_id } => {
                 out.push(TAG_INIT_OK);
                 put_u32(&mut out, *worker_id);
             }
-            Message::Phase { phase, min_deg1, min_deg2, threshold, links_delta } => {
+            Message::Phase { phase, min_degree, threshold, links_delta } => {
                 out.push(TAG_PHASE);
                 put_u32(&mut out, *phase);
-                put_u32(&mut out, *min_deg1);
-                put_u32(&mut out, *min_deg2);
+                put_u32(&mut out, *min_degree);
                 put_u32(&mut out, *threshold);
                 put_u32(&mut out, links_delta.len() as u32);
                 for &(a, b) in links_delta {
@@ -416,11 +371,10 @@ impl Message {
                     put_u64(&mut out, *at_us);
                 }
             }
-            Message::Reinit { phase, min_deg1, min_deg2, threshold, links_full } => {
+            Message::Reinit { phase, min_degree, threshold, links_full } => {
                 out.push(TAG_REINIT);
                 put_u32(&mut out, *phase);
-                put_u32(&mut out, *min_deg1);
-                put_u32(&mut out, *min_deg2);
+                put_u32(&mut out, *min_degree);
                 put_u32(&mut out, *threshold);
                 put_u32(&mut out, links_full.len() as u32);
                 for &(a, b) in links_full {
@@ -442,13 +396,12 @@ impl Message {
                 n1: c.u64()?,
                 n2: c.u64()?,
                 g1: G1Spec::decode(&mut c)?,
-                g2: G2Spec::decode(&mut c)?,
+                g2: G2Spec { path: c.string()? },
             },
             TAG_INIT_OK => Message::InitOk { worker_id: c.u32()? },
             TAG_PHASE => Message::Phase {
                 phase: c.u32()?,
-                min_deg1: c.u32()?,
-                min_deg2: c.u32()?,
+                min_degree: c.u32()?,
                 threshold: c.u32()?,
                 links_delta: c.pairs()?,
             },
@@ -488,8 +441,7 @@ impl Message {
             }
             TAG_REINIT => Message::Reinit {
                 phase: c.u32()?,
-                min_deg1: c.u32()?,
-                min_deg2: c.u32()?,
+                min_degree: c.u32()?,
                 threshold: c.u32()?,
                 links_full: c.pairs()?,
             },
@@ -551,20 +503,18 @@ mod tests {
                 n1: 1_000,
                 n2: 999,
                 g1: G1Spec::Shards { paths: vec!["a.snrs".into(), "b.snrs".into()] },
-                g2: G2Spec::Mmap { path: "g2.snrs".into() },
+                g2: G2Spec { path: "g2.snrs".into() },
             },
             Message::InitOk { worker_id: 3 },
             Message::Reinit {
                 phase: 2,
-                min_deg1: 4,
-                min_deg2: 4,
+                min_degree: 4,
                 threshold: 2,
                 links_full: vec![(0, 5), (7, 7), (9, 2)],
             },
             Message::Phase {
                 phase: 1,
-                min_deg1: 2,
-                min_deg2: 2,
+                min_degree: 2,
                 threshold: 2,
                 links_delta: vec![(0, 5), (7, 7)],
             },

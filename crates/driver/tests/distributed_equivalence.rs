@@ -75,7 +75,7 @@ fn driver_matches_sequential_across_worker_counts_and_stores() {
     let (pair, seeds) = pa_workload(61, 1_200, 6);
     let matching = MatchingConfig::default().with_threshold(2).with_iterations(2);
     for workers in [1, 2, 4] {
-        for store in [DriverStore::Compact, DriverStore::Mmap, DriverStore::Sharded(3)] {
+        for store in [DriverStore::Mmap, DriverStore::Sharded(3)] {
             assert_driver_matches(
                 &pair,
                 &seeds,
@@ -115,14 +115,16 @@ fn driver_matches_sequential_across_thresholds() {
     let (pair, seeds) = pa_workload(64, 900, 8);
     for threshold in [1, 3] {
         let matching = MatchingConfig::default().with_threshold(threshold).with_iterations(2);
-        assert_driver_matches(
-            &pair,
-            &seeds,
-            matching,
-            2,
-            DriverStore::Compact,
-            &format!("driver:2 compact at T={threshold}"),
-        );
+        for store in [DriverStore::Mmap, DriverStore::Sharded(3)] {
+            assert_driver_matches(
+                &pair,
+                &seeds,
+                matching.clone(),
+                2,
+                store,
+                &format!("driver:2 x {store:?} at T={threshold}"),
+            );
+        }
     }
 }
 

@@ -189,32 +189,36 @@ fn respawn_resurrects_a_single_worker_pool() {
 #[test]
 fn halted_run_resumes_from_checkpoint_bit_identically() {
     let (pair, seeds) = workload(76);
-    let (healthy, resumed) = with_watchdog(move || {
-        let healthy =
-            run_distributed(&pair.g1, &pair.g2, &seeds, config(2, "", Duration::from_secs(60)))?;
-        // Same schedule, but the coordinator halts right after phase 1
-        // checkpoints — simulating a coordinator crash between phases.
-        let driver = ShardDriver::new(
-            &pair.g1,
-            &pair.g2,
-            config(2, "halt@phase1", Duration::from_secs(60)),
-        )?;
-        let err = driver.run(&seeds).expect_err("halt fault must interrupt the run");
-        assert!(
-            matches!(err, DriverError::Interrupted { phase: 1 }),
-            "expected Interrupted after phase 1, got {err}"
+    // `resume` reopens the scratch segments and replans the tasks through
+    // the same path `new` plans them by, on either store.
+    for store in [DriverStore::Mmap, DriverStore::Sharded(3)] {
+        let (pair, seeds) = (pair.clone(), seeds.clone());
+        let stored = move |fault: &str| {
+            let mut config = config(2, fault, Duration::from_secs(60));
+            config.store = store;
+            config
+        };
+        let (healthy, resumed) = with_watchdog(move || {
+            let healthy = run_distributed(&pair.g1, &pair.g2, &seeds, stored(""))?;
+            // Same schedule, but the coordinator halts right after phase 1
+            // checkpoints — simulating a coordinator crash between phases.
+            let driver = ShardDriver::new(&pair.g1, &pair.g2, stored("halt@phase1"))?;
+            let err = driver.run(&seeds).expect_err("halt fault must interrupt the run");
+            assert!(
+                matches!(err, DriverError::Interrupted { phase: 1 }),
+                "expected Interrupted after phase 1, got {err}"
+            );
+            let resumed = ShardDriver::resume(driver.scratch_dir(), stored(""))?;
+            Ok::<_, DriverError>((healthy, resumed))
+        })
+        .unwrap_or_else(|e| panic!("{store:?}: resume from a phase-1 checkpoint failed: {e}"));
+        assert_eq!(resumed.links, healthy.links, "{store:?}: resumed run diverged");
+        assert_eq!(
+            phase_counters(&resumed),
+            phase_counters(&healthy),
+            "{store:?}: resumed per-phase counters diverged"
         );
-        let resumed =
-            ShardDriver::resume(driver.scratch_dir(), config(2, "", Duration::from_secs(60)))?;
-        Ok::<_, DriverError>((healthy, resumed))
-    })
-    .expect("resume from a phase-1 checkpoint must complete");
-    assert_eq!(resumed.links, healthy.links, "resumed run diverged from the uninterrupted one");
-    assert_eq!(
-        phase_counters(&resumed),
-        phase_counters(&healthy),
-        "resumed per-phase counters diverged"
-    );
+    }
 }
 
 #[test]
@@ -223,17 +227,22 @@ fn total_worker_loss_degrades_in_process_bit_identically() {
     let reference = UserMatching::new(MatchingConfig::default().with_threshold(2))
         .run(&pair.g1, &pair.g2, &seeds);
     // Both workers die in round 1 with no respawn budget: the default
-    // InProcess policy scores the remaining row-ranges on the coordinator.
-    let (outcome, stats) = with_watchdog(move || {
-        let mut config = config(2, "kill:w0@round1,kill:w1@round1", Duration::from_secs(60));
-        config.respawn_budget = 0;
-        let driver = ShardDriver::new(&pair.g1, &pair.g2, config)?;
-        let outcome = driver.run(&seeds)?;
-        Ok::<_, DriverError>((outcome, driver.last_run_stats()))
-    })
-    .expect("in-process degradation must complete a total-loss run");
-    assert!(stats.degraded_tasks > 0, "degradation path never engaged: {stats:?}");
-    assert_eq!(outcome.links, reference.links, "degraded run diverged from the healthy one");
+    // InProcess policy scores the remaining row-ranges on the coordinator,
+    // through the same task scorer on either store.
+    for store in [DriverStore::Mmap, DriverStore::Sharded(3)] {
+        let (pair, seeds) = (pair.clone(), seeds.clone());
+        let (outcome, stats) = with_watchdog(move || {
+            let mut config = config(2, "kill:w0@round1,kill:w1@round1", Duration::from_secs(60));
+            config.respawn_budget = 0;
+            config.store = store;
+            let driver = ShardDriver::new(&pair.g1, &pair.g2, config)?;
+            let outcome = driver.run(&seeds)?;
+            Ok::<_, DriverError>((outcome, driver.last_run_stats()))
+        })
+        .unwrap_or_else(|e| panic!("{store:?}: degradation must complete a total-loss run: {e}"));
+        assert!(stats.degraded_tasks > 0, "{store:?}: degradation never engaged: {stats:?}");
+        assert_eq!(outcome.links, reference.links, "{store:?}: degraded run diverged");
+    }
 }
 
 #[test]

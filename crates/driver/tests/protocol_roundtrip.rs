@@ -15,8 +15,8 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             worker_id: a,
             n1: u64::from(b) + 1,
             n2: u64::from(a) + 1,
-            g1: G1Spec::RangeLoad { path: format!("/tmp/g1-{b}.snrs") },
-            g2: G2Spec::Load { path: format!("/tmp/g2-{a}.snrs") },
+            g1: G1Spec::MmapWhole { path: format!("/tmp/g1-{b}.snrs") },
+            g2: G2Spec { path: format!("/tmp/g2-{a}.snrs") },
         },
         1 => Message::Init {
             worker_id: a,
@@ -25,13 +25,12 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             g1: G1Spec::Shards {
                 paths: pairs.iter().map(|(x, y)| format!("/tmp/s-{x}-{y}.snrs")).collect(),
             },
-            g2: G2Spec::Mmap { path: String::new() },
+            g2: G2Spec { path: String::new() },
         },
         2 => Message::InitOk { worker_id: a },
         3 => Message::Phase {
             phase: a,
-            min_deg1: b,
-            min_deg2: b.wrapping_add(1),
+            min_degree: b,
             threshold: a.wrapping_add(b),
             links_delta: pairs,
         },
@@ -44,8 +43,7 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
         },
         6 => Message::Reinit {
             phase: a,
-            min_deg1: b,
-            min_deg2: b.wrapping_add(1),
+            min_degree: b,
             threshold: a.wrapping_add(b),
             links_full: pairs,
         },

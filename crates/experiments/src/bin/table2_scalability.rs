@@ -26,9 +26,10 @@
 //! multi-process shard driver (`snr-driver`): a coordinator spawns N worker
 //! subprocesses, ships them segment files, and runs every phase as one
 //! distributed round — the true distributed Table 2, with links
-//! bit-identical to the sequential run (`--store` then selects how the
-//! *workers* open the scratch segments). The worker binary must be built
-//! (`cargo build --release -p snr-driver`).
+//! bit-identical to the sequential run (`--store` then selects the layout
+//! of the scratch segments the workers map: `sharded:<K>` shards g1,
+//! `compact` and `mmap` keep one whole-graph segment per copy). The worker
+//! binary must be built (`cargo build --release -p snr-driver`).
 //!
 //! `--blocking lsh:<B>x<R>` switches candidate generation from the exact
 //! all-eligible-pairs scan to MinHash/LSH blocking (`snr-sketch`): each
@@ -84,19 +85,13 @@ fn segment_dir() -> PathBuf {
     )
 }
 
-/// One matcher run on the representation `store` selects. Returns the
-/// outcome, the matcher's wall-clock seconds (conversion and segment I/O
-/// excluded, matching the compact path's historical timing), the store's
-/// bytes-per-edge (averaged over the two copies), and the store's total
-/// adjacency bytes. The copies are consumed: each branch converts and then
-/// *drops the uncompressed pair* before matching, so peak memory during the
-/// matcher is governed by the chosen representation.
 /// One run through the multi-process shard driver (`--backend driver:N`).
-/// The store mode maps onto how the *workers* open the scratch segments:
-/// `compact` → per-task range loads, `mmap` → whole-segment maps,
-/// `sharded:<K>` → K mapped shard segments. Timing covers `ShardDriver::run`
-/// only (segment writing excluded, consistent with the in-process paths);
-/// bytes are the scratch segments shipped to the workers.
+/// The store mode maps onto how the scratch segments are laid out; workers
+/// memory-map them either way: `compact` and `mmap` → one whole-graph
+/// segment per copy, `sharded:<K>` → K shard segments of g1. Timing covers
+/// `ShardDriver::run` only (segment writing excluded, consistent with the
+/// in-process paths); bytes are the scratch segments shipped to the
+/// workers.
 fn run_on_driver(
     args: &ExperimentArgs,
     workers: usize,
@@ -109,8 +104,7 @@ fn run_on_driver(
     let mut driver_config = DriverConfig::new(workers);
     driver_config.matching = config;
     driver_config.store = match store {
-        StoreMode::Compact => DriverStore::Compact,
-        StoreMode::Mmap => DriverStore::Mmap,
+        StoreMode::Compact | StoreMode::Mmap => DriverStore::Mmap,
         StoreMode::Sharded(n) => DriverStore::Sharded(n),
     };
     if let Some(budget) = args.respawn_budget {
@@ -162,6 +156,13 @@ where
     }
 }
 
+/// One matcher run on the representation `store` selects. Returns the
+/// outcome, the matcher's wall-clock seconds (conversion and segment I/O
+/// excluded, matching the compact path's historical timing), the store's
+/// bytes-per-edge (averaged over the two copies), and the store's total
+/// adjacency bytes. The copies are consumed: each branch converts and then
+/// *drops the uncompressed pair* before matching, so peak memory during the
+/// matcher is governed by the chosen representation.
 fn run_on_store(
     store: StoreMode,
     g1: CsrGraph,

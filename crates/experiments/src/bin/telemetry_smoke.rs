@@ -15,11 +15,12 @@
 //!    and contain the coordinator's `phase` spans, per-worker `task` spans
 //!    (shipped home as `Stats` frames and tagged `worker=<N>`), and
 //!    `checkpoint` events;
-//! 2. a **faulted** run (worker 1 killed in round 1, worker 0 stalled 1ms
-//!    per task), whose trace must additionally carry the `respawn` event
-//!    the coordinator emits when it heals the kill and the `fault_fired`
-//!    events the fault registry emits — including ones recorded *inside a
-//!    worker subprocess* and shipped home (the stall site).
+//! 2. a **faulted** run (every worker killed on its first round-1 task and
+//!    stalled 1ms per round-2 task), whose trace must additionally carry
+//!    the `respawn` event the coordinator emits when it heals a kill and the
+//!    `fault_fired` events the fault registry emits — including ones
+//!    recorded *inside a worker subprocess* and shipped home (the stall
+//!    site).
 //!
 //! Both runs must stay bit-identical to the sequential matcher: telemetry
 //! is observe-only, so turning it on cannot change a single link.
@@ -139,19 +140,29 @@ fn main() {
     );
 
     // ---- 2. Faulted run: fault + recovery shows up in the trace. --------
+    // Every worker carries the same faults, so the assertions hold whichever
+    // worker handshakes first. The first round-1 task kills an original
+    // worker, whose range only a replacement can finish (any other original
+    // dies on it too): a respawn launches in round 1. A replacement inherits
+    // only later-round actions, so the round-2 stall survives on it and
+    // on every original, and each worker that is ready when round 2 starts
+    // takes a round-2 task.
+    let fault: Vec<String> = (0..workers)
+        .flat_map(|w| [format!("kill:w{w}@round1"), format!("stall:w{w}@round2:1ms")])
+        .collect();
     let trace = dir.join("faulted.jsonl");
     let (outcome, summary) = traced_run(
         "faulted",
         &pair,
         &seeds,
-        driver_config(workers, matching, Some("kill:w1@round1,stall:w0:1ms")),
+        driver_config(workers, matching, Some(&fault.join(","))),
         &trace,
     );
     assert_eq!(outcome.links, reference.links, "faulted: recovery changed the links");
     assert!(event_count(&summary, "respawn") > 0, "kill healed without a respawn event");
     let fired = event_count(&summary, "fault_fired");
-    // The stall fires on every w0 task and each firing ships home in that
-    // task's Stats frame; the kill's own event dies with worker 1.
+    // The stall fires on every round-2 task and each firing ships home in
+    // that task's Stats frame; a kill's own event dies with its worker.
     assert!(fired > 0, "no fault_fired events in the trace");
     assert!(
         summary.events.iter().any(|e| e.name == "fault_fired" && e.fields.contains("site=stall")),

@@ -9,7 +9,9 @@
 //! * `--json <path>` — also write the experiment record as JSON.
 //! * `--store <mode>` — graph representation the matcher runs on, for the
 //!   binaries that honor it (`table2_scalability`): `compact` (default),
-//!   `mmap`, or `sharded:<N>`.
+//!   `mmap`, or `sharded:<N>`. Driver-backed runs always memory-map their
+//!   scratch segments: `compact` and `mmap` both mean one whole-graph
+//!   segment per copy, `sharded:<N>` splits g1 into N shard segments.
 //! * `--backend <mode>` — execution backend for the binaries that honor it
 //!   (`table2_scalability`): `sequential` (default), `rayon`,
 //!   `mapreduce[:workers]` (worker count defaults to the CPU count), or
@@ -96,6 +98,7 @@ fn parse_blocking(s: &str) -> Result<CandidateSource, String> {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum StoreMode {
     /// In-memory delta-encoded [`snr_graph::CompactCsr`] (the default).
+    /// Driver-backed runs treat it as [`StoreMode::Mmap`].
     #[default]
     Compact,
     /// On-disk segments opened as [`snr_store::MmapGraph`]s: resident graph

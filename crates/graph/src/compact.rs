@@ -7,10 +7,10 @@
 //! * offsets are `u32` instead of `usize` (the paper's largest instance has
 //!   8.5G adjacency entries, but a single in-memory shard is bounded by
 //!   `u32` here — construction asserts it);
-//! * each sorted neighbor list is split into blocks of
-//!   [`BLOCK_SIZE`](crate::blocks::BLOCK_SIZE) entries; the first element of
-//!   every block is stored verbatim in a skip array and the rest as
-//!   varint-encoded gaps from their predecessor (see [`crate::blocks`]).
+//! * each sorted neighbor list is split into blocks of [`BLOCK_SIZE`]
+//!   entries; the first element of every block is stored verbatim in a skip
+//!   array and the rest as varint-encoded gaps from their predecessor (see
+//!   [`crate::blocks`]).
 //!
 //! The skip entries keep the read API competitive with the uncompressed
 //! form: [`GraphView::degree`] is O(1) from the entry offsets, and

@@ -13,7 +13,7 @@
 //!   (in-memory `CompactCsr` via [`ShardedGraph::partition`], or mapped
 //!   segments via [`write_shard_segments`] + [`ShardedGraph::open`]).
 //!   Exposes its shard ranges through
-//!   [`GraphView::storage_partitions`] so partition-aware schedulers (the
+//!   [`GraphView::storage_partitions`](snr_graph::GraphView::storage_partitions) so partition-aware schedulers (the
 //!   arena scorer in `snr-core`) can align worker row ranges with storage.
 //!
 //! Both views decode neighbor lists through the exact
@@ -45,7 +45,6 @@ pub mod sharded;
 
 pub use mmap::MmapGraph;
 pub use segment::{
-    read_segment, read_segment_rows, read_segment_rows_file, write_segment, write_segment_file,
-    write_segment_range, SegmentMeta,
+    read_segment, write_segment, write_segment_file, write_segment_range, SegmentMeta,
 };
 pub use sharded::{shard_boundaries, write_shard_segments, ShardedGraph};
