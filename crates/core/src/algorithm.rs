@@ -5,7 +5,7 @@ use crate::blocking::{adaptive_lsh_phase, DEFAULT_SKETCH_SEED};
 use crate::config::{CandidateSource, MatchingConfig, Phase};
 use crate::linking::Linking;
 use crate::scoring::{
-    mapreduce_fused_phase_on, score_phase_cached, CandidateCache, LinkCache, SelectSink,
+    mapreduce_phase_cached, score_phase_cached, CandidateCache, LinkFrontier, SelectSink,
 };
 use crate::stats::{MatchingOutcome, PhaseStats};
 use snr_graph::{GraphView, NodeId};
@@ -60,23 +60,31 @@ impl UserMatching {
     /// [`snr_graph::CsrGraph`]s, [`snr_graph::CompactCsr`]s, or one of each —
     /// the algorithm (and its output) is identical for every combination.
     ///
-    /// Infallible: the engine this entry point builds for the MapReduce
-    /// backend has no spill budget, so its rounds never touch disk and
-    /// cannot fail. To spill, build an engine with
-    /// [`Engine::with_spill_budget`] and run it through
-    /// [`UserMatching::try_run_on_engine`].
+    /// The engine this entry point builds for the MapReduce backend has no
+    /// spill budget, so its rounds never touch disk and cannot fail. To
+    /// spill, build an engine with [`Engine::with_spill_budget`] and run it
+    /// through [`UserMatching::try_run_on_engine`].
+    ///
+    /// # Panics
+    ///
+    /// On an invalid configuration — LSH candidate blocking on the
+    /// MapReduce backend — which [`UserMatching::try_run`] reports as
+    /// [`EngineError::InvalidConfig`] instead.
     pub fn run<G1, G2>(&self, g1: &G1, g2: &G2, seeds: &[(NodeId, NodeId)]) -> MatchingOutcome
     where
         G1: GraphView + Sync,
         G2: GraphView + Sync,
     {
-        self.try_run(g1, g2, seeds).expect("a round without a spill budget never fails")
+        self.try_run(g1, g2, seeds).expect(
+            "invalid matching configuration (a run without a spill budget fails only on one)",
+        )
     }
 
-    /// [`UserMatching::run`] with the engine's error type in the signature.
-    /// The engine it builds has no spill budget, so it never returns `Err`;
-    /// [`UserMatching::try_run_on_engine`] is the entry point whose rounds
-    /// can spill and fail.
+    /// [`UserMatching::run`] with its failure as a value: the engine it
+    /// builds has no spill budget, so the only error is
+    /// [`EngineError::InvalidConfig`] (LSH candidate blocking on the
+    /// MapReduce backend). [`UserMatching::try_run_on_engine`] is the entry
+    /// point whose rounds can spill and fail.
     pub fn try_run<G1, G2>(
         &self,
         g1: &G1,
@@ -94,9 +102,9 @@ impl UserMatching {
     /// engine, so that the caller can read the engine's round statistics
     /// ([`Engine::stats`]) afterwards or give it a spill budget
     /// ([`Engine::with_spill_budget`]). A failed spill surfaces as a clean
-    /// [`EngineError`] with the engine's scratch space already removed.
-    /// Panics if the configured backend is not [`Backend::MapReduce`] (that
-    /// is a programming error, not a runtime fault).
+    /// [`EngineError`] with the engine's scratch space already removed; a
+    /// configured backend other than [`Backend::MapReduce`] is an
+    /// [`EngineError::InvalidConfig`].
     pub fn try_run_on_engine<G1, G2>(
         &self,
         g1: &G1,
@@ -108,10 +116,12 @@ impl UserMatching {
         G1: GraphView + Sync,
         G2: GraphView + Sync,
     {
-        assert!(
-            matches!(self.config.backend, Backend::MapReduce { .. }),
-            "try_run_on_engine requires the MapReduce backend"
-        );
+        if !matches!(self.config.backend, Backend::MapReduce { .. }) {
+            return Err(EngineError::InvalidConfig(format!(
+                "try_run_on_engine requires the MapReduce backend, not {:?}",
+                self.config.backend
+            )));
+        }
         self.run_internal(g1, g2, seeds, Some(engine))
     }
 
@@ -148,6 +158,15 @@ impl UserMatching {
     {
         let start = Instant::now();
         let cfg = &self.config;
+        if matches!(cfg.candidates, CandidateSource::Lsh { .. })
+            && matches!(cfg.backend, Backend::MapReduce { .. })
+        {
+            return Err(EngineError::InvalidConfig(
+                "LSH candidate blocking is not supported on the MapReduce backend; \
+                 use Backend::Sequential or Backend::Rayon"
+                    .into(),
+            ));
+        }
         let mut links = Linking::with_seeds(g1.node_count(), g2.node_count(), seeds);
         let mut phases = Vec::new();
 
@@ -159,20 +178,16 @@ impl UserMatching {
             }
             (_, provided) => provided,
         };
-
-        if matches!(cfg.candidates, CandidateSource::Lsh { .. }) {
-            assert!(
-                !matches!(cfg.backend, Backend::MapReduce { .. }),
-                "LSH candidate blocking is not supported on the MapReduce backend; \
-                 use Backend::Sequential or Backend::Rayon"
-            );
-        }
+        let parallel = match engine_ref {
+            Some(engine) => engine.workers() > 1,
+            None => matches!(cfg.backend, Backend::Rayon),
+        };
 
         // Degrees never change during a run: read them once per side and
         // assemble each phase's eligible set from the cached log₂-degree
         // groups instead of rescanning all n nodes every phase. The copy-2
         // cache only exists for LSH blocking (the exact path filters copy-2
-        // eligibility inside the LinkCache build).
+        // eligibility inside the link frontier).
         let cand_cache1 = {
             let _span = snr_telemetry::span!("candidate_cache", side = 1);
             CandidateCache::build(g1)
@@ -181,6 +196,10 @@ impl UserMatching {
             let _span = snr_telemetry::span!("candidate_cache", side = 2);
             CandidateCache::build(g2)
         });
+        // The link set only grows, so each link's copy-2 neighborhood is
+        // decoded once per run; every phase cuts its cache from the frontier.
+        let mut frontier = LinkFrontier::new(Phase::degree_floor(schedule));
+        let n2 = g2.node_count();
 
         for phase in schedule {
             let phase_start = Instant::now();
@@ -192,77 +211,58 @@ impl UserMatching {
                 |u| links.is_linked_g1(NodeId(u)),
                 |u| g1.degree(NodeId(u)),
             );
+            let cache = frontier.advance(g2, &links, min_degree, parallel);
 
-            let (scored_pairs, new_pairs) = match (cfg.backend, engine_ref) {
-                (Backend::MapReduce { .. }, Some(engine)) => {
-                    // One engine round per phase: mappers score candidate
-                    // rows on task-local arenas, the packed shuffle is
-                    // range-partitioned by row, and the reduce folds rows
-                    // into per-partition SelectSinks — no global score
-                    // table, same bits as the in-process phase.
-                    mapreduce_fused_phase_on(
-                        engine,
+            let (scored_pairs, new_pairs) = match (engine_ref, cfg.candidates) {
+                // One engine round per phase: mappers score candidate rows
+                // on task-local arenas against the shared cache, the packed
+                // shuffle is range-partitioned by row, and the reduce folds
+                // rows into per-partition SelectSinks — no global score
+                // table, same bits as the in-process phase.
+                (Some(engine), _) => {
+                    mapreduce_phase_cached(engine, g1, cache, n2, candidates, cfg.threshold)?
+                }
+                // Witness scoring and mutual-best selection fused into one
+                // pass over per-candidate rows — no score table is
+                // materialized. Selection follows the same backend as
+                // scoring, so Backend::Rayon is parallel through the whole
+                // phase.
+                (None, CandidateSource::Exact) => {
+                    score_phase_cached(g1, cache, n2, &candidates, parallel, || {
+                        SelectSink::new(n2, cfg.threshold)
+                    })
+                    .finish()
+                }
+                // Blocked path: MinHash/LSH proposes candidate pairs, which
+                // are then scored exactly. The sketch seed mixes in the phase
+                // coordinates so each phase re-draws its hash family. Phases
+                // whose exact scan is light fall back to it (lossless and
+                // faster there); only mass-heavy phases pay the sketch — see
+                // the adaptive gate in `crate::blocking`.
+                (None, CandidateSource::Lsh { bands, rows }) => {
+                    let candidates2 = || {
+                        cand_cache2.as_ref().expect("copy-2 cache is built for LSH runs").eligible(
+                            min_degree,
+                            |v| links.is_linked_g2(NodeId(v)),
+                            |v| g2.degree(NodeId(v)),
+                        )
+                    };
+                    let seed = DEFAULT_SKETCH_SEED
+                        ^ (u64::from(phase.iteration) << 32)
+                        ^ u64::from(phase.bucket);
+                    adaptive_lsh_phase(
                         g1,
                         g2,
                         &links,
-                        candidates,
-                        min_degree,
+                        cache,
+                        &candidates,
+                        candidates2,
                         cfg.threshold,
-                    )?
-                }
-                _ => {
-                    let parallel = matches!(cfg.backend, Backend::Rayon);
-                    match cfg.candidates {
-                        // Witness scoring and mutual-best selection fused
-                        // into one pass over per-candidate rows — no score
-                        // table is materialized. Selection follows the same
-                        // backend as scoring, so Backend::Rayon is parallel
-                        // through the whole phase.
-                        CandidateSource::Exact => {
-                            let n2 = g2.node_count();
-                            let cache =
-                                LinkCache::build_for_phase(g2, &links, min_degree, parallel);
-                            score_phase_cached(g1, &cache, n2, &candidates, parallel, || {
-                                SelectSink::new(n2, cfg.threshold)
-                            })
-                            .finish()
-                        }
-                        // Blocked path: MinHash/LSH proposes candidate
-                        // pairs, which are then scored exactly. The sketch
-                        // seed mixes in the phase coordinates so each phase
-                        // re-draws its hash family. Phases whose exact scan
-                        // is light fall back to it (lossless and faster
-                        // there); only mass-heavy phases pay the sketch —
-                        // see the adaptive gate in `crate::blocking`.
-                        CandidateSource::Lsh { bands, rows } => {
-                            let candidates2 = || {
-                                cand_cache2
-                                    .as_ref()
-                                    .expect("copy-2 cache is built for LSH runs")
-                                    .eligible(
-                                        min_degree,
-                                        |v| links.is_linked_g2(NodeId(v)),
-                                        |v| g2.degree(NodeId(v)),
-                                    )
-                            };
-                            let seed = DEFAULT_SKETCH_SEED
-                                ^ (u64::from(phase.iteration) << 32)
-                                ^ u64::from(phase.bucket);
-                            adaptive_lsh_phase(
-                                g1,
-                                g2,
-                                &links,
-                                &candidates,
-                                candidates2,
-                                min_degree,
-                                cfg.threshold,
-                                &Banding::new(bands, rows),
-                                seed,
-                                cfg.lsh_mass_floor,
-                                parallel,
-                            )
-                        }
-                    }
+                        &Banding::new(bands, rows),
+                        seed,
+                        cfg.lsh_mass_floor,
+                        parallel,
+                    )
                 }
             };
 
@@ -481,6 +481,30 @@ mod tests {
         let par = UserMatching::new(MatchingConfig::default().with_backend(Backend::Rayon))
             .run(&pair.g1, &pair.g2, &seeds);
         assert_eq!(seq.links, par.links);
+    }
+
+    #[test]
+    fn lsh_on_the_mapreduce_backend_is_a_config_error() {
+        let (pair, seeds) = pa_pair(300, 4, 0.7, 5);
+        let cfg = MatchingConfig::default()
+            .with_backend(Backend::MapReduce { workers: 2 })
+            .with_candidates(CandidateSource::Lsh { bands: 4, rows: 2 });
+        let err = UserMatching::new(cfg).try_run(&pair.g1, &pair.g2, &seeds).unwrap_err();
+        assert!(matches!(err, EngineError::InvalidConfig(ref why) if why.contains("LSH")), "{err}");
+    }
+
+    #[test]
+    fn try_run_on_engine_needs_the_mapreduce_backend() {
+        let (pair, seeds) = pa_pair(300, 4, 0.7, 6);
+        let engine = Engine::new(2);
+        let err = UserMatching::new(MatchingConfig::default())
+            .try_run_on_engine(&pair.g1, &pair.g2, &seeds, &engine)
+            .unwrap_err();
+        assert!(
+            matches!(err, EngineError::InvalidConfig(ref why) if why.contains("MapReduce")),
+            "{err}"
+        );
+        assert_eq!(engine.stats().rounds, 0, "a rejected run must not touch the engine");
     }
 
     #[test]

@@ -29,7 +29,7 @@
 
 use crate::linking::Linking;
 use crate::scoring::{
-    score_pair_list, score_phase_cached, score_row, LinkCache, ScoreArena, SelectSink,
+    score_pair_list, score_phase_cached, score_row, LinkCache, LinkFrontier, ScoreArena, SelectSink,
 };
 use rayon::prelude::*;
 use snr_graph::{GraphView, NodeId};
@@ -130,21 +130,21 @@ pub fn should_block(scored: u64, candidates: usize, mass_floor: u64) -> bool {
         || (scored >= mass_floor && scored >= LSH_MASS_PER_ROW.saturating_mul(candidates as u64))
 }
 
-/// One adaptively blocked phase: builds the phase's [`LinkCache`], measures
+/// One adaptively blocked phase over the phase's [`LinkCache`]: measures
 /// the exact scan's cost ([`phase_mass`] as the quick bound, then
-/// [`estimate_scored_pairs`]), and either runs the exact scan on the
-/// already-built cache (light phases — lossless and faster there) or the
-/// LSH-blocked pipeline (entry-heavy phases, where candidate generation is
-/// the wall). `candidates2` is only evaluated when the phase blocks, so the
-/// exact fallback never pays for the copy-2 eligible scan.
+/// [`estimate_scored_pairs`]), and either runs the exact scan on the cache
+/// (light phases — lossless and faster there) or the LSH-blocked pipeline
+/// (entry-heavy phases, where candidate generation is the wall).
+/// `candidates2` is only evaluated when the phase blocks, so the exact
+/// fallback never pays for the copy-2 eligible scan.
 #[allow(clippy::too_many_arguments)]
 pub fn adaptive_lsh_phase<G1, G2, F>(
     g1: &G1,
     g2: &G2,
     links: &Linking,
+    cache: &LinkCache,
     candidates1: &[u32],
     candidates2: F,
-    min_deg2: usize,
     threshold: u32,
     banding: &Banding,
     seed: u64,
@@ -160,16 +160,15 @@ where
     if links.is_empty() || candidates1.is_empty() {
         return (0, Vec::new());
     }
-    let cache = LinkCache::build_for_phase(g2, links, min_deg2, parallel);
     // Two-step gate: the exact bump mass is an upper bound on the scored-
     // pair count and cheap to compute, so it rejects light phases without
     // sampling; phases that pass it are gated on the sampled scored-pair
     // estimate — bump-heavy but entry-light hub phases (mass ≫ scored) stay
     // exact, which is where blocking loses.
     let blocked = mass_floor == 0
-        || (should_block(phase_mass(g1, &cache, candidates1), candidates1.len(), mass_floor)
+        || (should_block(phase_mass(g1, cache, candidates1), candidates1.len(), mass_floor)
             && should_block(
-                estimate_scored_pairs(g1, &cache, candidates1, n2),
+                estimate_scored_pairs(g1, cache, candidates1, n2),
                 candidates1.len(),
                 mass_floor,
             ));
@@ -184,7 +183,7 @@ where
         rows = candidates1.len(),
     );
     if !blocked {
-        return score_phase_cached(g1, &cache, n2, candidates1, parallel, || {
+        return score_phase_cached(g1, cache, n2, candidates1, parallel, || {
             SelectSink::new(n2, threshold)
         })
         .finish();
@@ -197,7 +196,7 @@ where
         g1,
         g2,
         links,
-        &cache,
+        cache,
         candidates1,
         &candidates2,
         threshold,
@@ -237,12 +236,13 @@ where
     if links.is_empty() || candidates1.is_empty() || candidates2.is_empty() {
         return (0, Vec::new());
     }
-    let cache = LinkCache::build_for_phase(g2, links, min_deg2, parallel);
+    let mut frontier = LinkFrontier::new(min_deg2);
+    let cache = frontier.advance(g2, links, min_deg2, parallel);
     lsh_phase_cached(
         g1,
         g2,
         links,
-        &cache,
+        cache,
         candidates1,
         candidates2,
         threshold,
@@ -253,7 +253,7 @@ where
 }
 
 /// [`lsh_fused_phase`] over a caller-supplied [`LinkCache`] — the blocked
-/// arm of [`adaptive_lsh_phase`], which has already built the cache to
+/// arm of [`adaptive_lsh_phase`], which has already used the cache to
 /// measure the phase's mass.
 #[allow(clippy::too_many_arguments)]
 fn lsh_phase_cached<G1, G2>(

@@ -173,6 +173,12 @@ impl Phase {
     pub fn min_degree(&self) -> usize {
         1usize.checked_shl(self.bucket).unwrap_or(usize::MAX)
     }
+
+    /// The lowest [`Phase::min_degree`] of `schedule` (1 for an empty one):
+    /// no phase of the run admits a node of smaller degree.
+    pub fn degree_floor(schedule: &[Phase]) -> usize {
+        schedule.iter().map(Phase::min_degree).min().unwrap_or(1)
+    }
 }
 
 #[cfg(test)]

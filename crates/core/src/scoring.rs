@@ -8,10 +8,15 @@
 //!   Each row `score(u, ·)` depends only on `u`'s own neighborhood, so rows
 //!   are independent: workers own disjoint sets of rows and the parallel
 //!   path needs no merge of overlapping tables.
-//! * **[`LinkCache`]** decodes, once per phase, the threshold-filtered
-//!   copy-2 neighbor list of every linked pair `(w1, w2)` into one flat
-//!   arena, and maps `w1` to its slice in O(1). Scoring a row is then a pure
-//!   slice scan — no per-link block decoding and no hashing.
+//! * **[`LinkCache`]** holds, for one phase, the threshold-filtered copy-2
+//!   neighbor list of every linked pair `(w1, w2)` in one flat arena, and
+//!   maps `w1` to its slice in O(1). Scoring a row is then a pure slice
+//!   scan — no per-link block decoding and no hashing.
+//! * **[`LinkFrontier`]** lives for a whole run and cuts every phase's
+//!   cache. The link set only grows, so it decodes each link's copy-2
+//!   neighborhood once, when the link appears, and afterwards only drops
+//!   the targets linked since the last phase — instead of re-decoding every
+//!   linked neighborhood in every phase.
 //! * **[`ScoreArena`]** accumulates one row into a dense, generation-stamped
 //!   scratch (`scores[v]`, `stamp[v]`, `touched`). Starting a row is O(1)
 //!   (bump the epoch), and a contribution is one array increment.
@@ -34,8 +39,8 @@
 //!
 //! [`mapreduce_fused_phase`] expresses one whole phase as a single
 //! [`snr_mapreduce::Engine::run`] round: map tasks score contiguous chunks
-//! of candidate rows through a task-local [`LinkCache`] +
-//! [`ScoreArena`] and emit one already-aggregated record per candidate
+//! of candidate rows through the phase's shared [`LinkCache`] and a
+//! task-local [`ScoreArena`] and emit one already-aggregated record per candidate
 //! *row* — a dense `u32` key plus the row's packed `(v, count)` entries at
 //! 8 bytes each. The shuffle range-partitions by `u`, so each reduce
 //! partition owns whole rows in ascending order and folds them straight
@@ -48,24 +53,28 @@ use snr_graph::{GraphError, GraphView, NodeId};
 use snr_mapreduce::partition::range_partition;
 use snr_mapreduce::{Engine, EngineError, SpillCodec};
 
-/// Sentinel in [`LinkCache::slot`] for copy-1 nodes that are not linked.
+/// Sentinel in [`LinkCache::slot`] and `LinkFrontier::entry` for copy-1
+/// nodes that are not linked.
 const NO_LINK: u32 = u32::MAX;
 
 /// Minimum candidate-row count before the parallel driver spawns workers.
 const PARALLEL_CUTOFF: usize = 64;
 
-/// Minimum link count before [`LinkCache::build_parallel`] spawns workers;
-/// below this the per-chunk splice costs more than the decode it saves.
-const PARALLEL_BUILD_CUTOFF: usize = 1_024;
+/// Minimum link count before a [`LinkFrontier`] pass splits its links
+/// across rayon workers; below this the per-chunk splice costs more than
+/// the decode it saves.
+const PARALLEL_LINK_CUTOFF: usize = 1_024;
 
-/// Per-phase decoded-neighbor cache: for every link `(w1, w2)`, the
-/// threshold-eligible neighbors of `w2`, decoded once and stored in one flat
-/// arena.
+/// One phase's decoded-neighbor cache: for every link `(w1, w2)`, the
+/// threshold-eligible neighbors of `w2`, stored in one flat arena.
 ///
 /// During a phase the link set and the eligibility predicate are fixed, so
-/// each linked `w2`'s list can be decoded and filtered exactly once instead
-/// of once per copy-1 node adjacent to `w1` (for `CompactCsr` that decode is
-/// a varint block walk — the per-link cost the ROADMAP flagged at R-MAT-18).
+/// each linked `w2`'s list is filtered once per phase instead of once per
+/// copy-1 node adjacent to `w1`. A [`LinkFrontier`] cuts it from lists it
+/// decoded in earlier phases: each link's neighborhood is decoded once per
+/// run (for `CompactCsr` that decode is a varint block walk — the per-link
+/// cost the ROADMAP flagged at R-MAT-18).
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LinkCache {
     /// `slot[w1]` is the link index of `w1`, or [`NO_LINK`].
     slot: Vec<u32>,
@@ -76,114 +85,16 @@ pub struct LinkCache {
 }
 
 impl LinkCache {
-    /// Decodes and filters the copy-2 neighborhoods of all current links.
+    /// The cache of one phase on its own: the first phase of a fresh
+    /// [`LinkFrontier`] whose floor is `min_deg2`.
     ///
-    /// Cost: `O(n1 + Σ_{(w1,w2)∈L} d2(w2))` — the same neighborhood scan one
-    /// link-centric pass already pays, amortized over the whole phase. The
-    /// slot array is sized by [`Linking::g1_capacity`], which bounds every
-    /// `w1` the linking can contain (inserts are bounds-checked).
-    pub fn build<G2: GraphView>(g2: &G2, links: &Linking, min_deg2: usize) -> LinkCache {
-        // The build walks every linked `w2`'s neighborhood in link order —
-        // close to sequential over the on-disk layout for mmap-backed views
-        // — while the scoring that follows jumps rows at random.
-        g2.advise_sequential();
-        let mut slot = vec![NO_LINK; links.g1_capacity()];
-        let mut offsets = Vec::with_capacity(links.len() + 1);
-        offsets.push(0u32);
-        let mut targets = Vec::new();
-        for (w1, w2) in links.pairs() {
-            slot[w1.index()] = (offsets.len() - 1) as u32;
-            targets.extend(
-                g2.neighbors_iter(w2)
-                    .filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v))
-                    .map(|v| v.0),
-            );
-            offsets.push(targets.len() as u32);
-        }
-        g2.advise_random();
-        LinkCache { slot, offsets, targets }
-    }
-
-    /// Parallel sibling of [`LinkCache::build`], producing a bit-identical
-    /// cache: the link list is split into contiguous chunks, each worker
-    /// decodes and filters its chunk's copy-2 neighborhoods into a private
-    /// target arena, and the arenas are spliced back in chunk order (so
-    /// offsets, targets, and slots come out exactly as the sequential build
-    /// would emit them). At RMAT-20+ link sets the per-phase decode is
-    /// `O(Σ d2(w2))` over millions of links — the last sequential stretch
-    /// of a rayon-backend phase.
-    pub fn build_parallel<G2: GraphView + Sync>(
-        g2: &G2,
-        links: &Linking,
-        min_deg2: usize,
-    ) -> LinkCache {
-        let pairs = links.to_vec();
-        if pairs.len() < PARALLEL_BUILD_CUTOFF {
-            return LinkCache::build(g2, links, min_deg2);
-        }
-        g2.advise_sequential();
-        let chunk_size = pairs.len().div_ceil(rayon::current_num_threads());
-        let chunks: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk_size).collect();
-        // Each part: (per-link filtered lengths, concatenated targets).
-        let parts: Vec<(Vec<u32>, Vec<u32>)> = chunks
-            .par_iter()
-            .map(|chunk| {
-                let mut lens = Vec::with_capacity(chunk.len());
-                let mut targets = Vec::new();
-                for &(_, w2) in *chunk {
-                    let before = targets.len();
-                    targets.extend(
-                        g2.neighbors_iter(w2)
-                            .filter(|&v| g2.degree(v) >= min_deg2 && !links.is_linked_g2(v))
-                            .map(|v| v.0),
-                    );
-                    lens.push((targets.len() - before) as u32);
-                }
-                (lens, targets)
-            })
-            .collect();
-
-        // Splice in chunk order: global offsets are running sums over the
-        // per-link lengths, targets concatenate, and slot indices follow
-        // the same link order as the sequential build.
-        let mut slot = vec![NO_LINK; links.g1_capacity()];
-        let mut offsets = Vec::with_capacity(pairs.len() + 1);
-        offsets.push(0u32);
-        let total: usize = parts.iter().map(|(_, t)| t.len()).sum();
-        let mut targets = Vec::with_capacity(total);
-        let mut link_idx = 0usize;
-        for (lens, part_targets) in parts {
-            for len in lens {
-                slot[pairs[link_idx].0.index()] = link_idx as u32;
-                offsets.push(*offsets.last().expect("non-empty") + len);
-                link_idx += 1;
-            }
-            targets.extend(part_targets);
-        }
-        g2.advise_random();
-        LinkCache { slot, offsets, targets }
-    }
-
-    /// The per-phase build of every phase entry point: [`LinkCache::build_parallel`]
-    /// when `parallel`, else [`LinkCache::build`], inside the `link_cache`
-    /// span and with the build time added to `CacheBuildMicros`.
-    pub(crate) fn build_for_phase<G2: GraphView + Sync>(
-        g2: &G2,
-        links: &Linking,
-        min_deg2: usize,
-        parallel: bool,
-    ) -> LinkCache {
-        let _span = snr_telemetry::span!("link_cache", links = links.len());
-        let t = snr_telemetry::enabled().then(std::time::Instant::now);
-        let cache = if parallel {
-            LinkCache::build_parallel(g2, links, min_deg2)
-        } else {
-            LinkCache::build(g2, links, min_deg2)
-        };
-        if let Some(t) = t {
-            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
-        }
-        cache
+    /// Cost: `O(n1 + Σ_{(w1,w2)∈L} d2(w2))`. The slot array is sized by
+    /// [`Linking::g1_capacity`], which bounds every `w1` the linking can
+    /// contain (inserts are bounds-checked).
+    pub fn build<G2: GraphView + Sync>(g2: &G2, links: &Linking, min_deg2: usize) -> LinkCache {
+        let mut frontier = LinkFrontier::new(min_deg2);
+        frontier.advance(g2, links, min_deg2, false);
+        frontier.cache
     }
 
     /// The cached eligible copy-2 neighbors of `w1`'s link partner, or
@@ -214,6 +125,428 @@ impl LinkCache {
     pub fn cached_targets(&self) -> usize {
         self.targets.len()
     }
+}
+
+/// The run-long source of every phase's [`LinkCache`]: each link's copy-2
+/// neighborhood is decoded once, when the link first appears, and kept
+/// from then on as a list of live targets.
+///
+/// A link's live targets are the neighbors of `w2` with degree at least
+/// the frontier's *floor* (the schedule's lowest `min_degree`) that are
+/// still unlinked. They are held in two parts that together cost one copy:
+/// the ones that passed the last phase's degree filter are that phase's
+/// cache, the others sit in a compact side list. Each phase makes one pass
+/// over the links in [`Linking::pairs`] order that
+///
+/// 1. merges a known link's two parts back into neighbor order (both are
+///    ascending, as every [`GraphView`] neighbor list is), dropping the
+///    targets linked since — a [`Linking`] never removes a link, so a
+///    dropped target can never become eligible again. A side list none of
+///    whose targets can reach the phase's filter is carried over unread;
+/// 2. decodes the neighborhood of each link added since the last phase;
+/// 3. splits every surviving target by the phase's `min_degree` into the
+///    new cache and the new side list.
+///
+/// The cache that comes out is exactly [`LinkCache::build`]'s for the same
+/// link set and `min_degree` (slots, offsets and target order included),
+/// so every executor that scores through a frontier keeps its links and
+/// `scored_pairs` bit for bit. A linking that is not a superset of the last
+/// one seen, or a `min_degree` below the floor, makes the frontier start
+/// over rather than serve stale lists.
+#[derive(Debug, Default)]
+pub struct LinkFrontier {
+    /// Lowest copy-2 degree a live target can have.
+    floor: usize,
+    /// The last phase's cache. Its slots also number the links for
+    /// `rest` and `partners`; empty offsets mark an unshaped frontier.
+    cache: LinkCache,
+    /// `rest_offsets[k]..rest_offsets[k + 1]` is link `k`'s slice of `rest`.
+    rest_offsets: Vec<u32>,
+    /// Live targets below the last phase's degree filter: per link its
+    /// highest degree class, then an ascending list of ids with their degree
+    /// classes ([`SideList`]). The gaps take a third to a half of the bytes
+    /// plain ids would; the classes spare a degree lookup per target, and
+    /// the header lets a pass copy a list that cannot reach its filter
+    /// without reading it. Such a copied list may keep targets linked since
+    /// it was written; they are dropped when the list is next read.
+    rest: Vec<u8>,
+    /// The last phase's `min_degree`: the cache's targets reach it, the
+    /// side lists' targets do not.
+    cut: usize,
+    /// The copy-2 endpoint of every link, by link index.
+    partners: Vec<u32>,
+    /// Bitmap over copy-2 ids of the `partners`.
+    linked: Vec<u64>,
+}
+
+/// One pass of [`LinkFrontier`] over a range of links: the range's cache
+/// and side lists, with offsets local to the range.
+struct Routed {
+    offsets: Vec<u32>,
+    targets: Vec<u32>,
+    rest_offsets: Vec<u32>,
+    rest: Vec<u8>,
+    /// Links of the range the frontier already held.
+    known: usize,
+    /// Links of the range decoded by this pass.
+    decoded: usize,
+    /// Targets the pass routed one by one (copied side lists not counted).
+    live: usize,
+    /// The current link's last side-list id, which its next gap counts from.
+    prev: u32,
+    /// Where the current link's side list starts in `rest`.
+    side_start: usize,
+    /// The highest degree class in the current link's side list.
+    side_top: u8,
+    /// Whether some held link changed its copy-2 endpoint.
+    stale: bool,
+}
+
+impl LinkFrontier {
+    /// An empty frontier keeping targets of degree at least `floor`.
+    pub fn new(floor: usize) -> LinkFrontier {
+        LinkFrontier { floor, ..LinkFrontier::default() }
+    }
+
+    /// Forgets every decoded link; the next phase decodes all of them.
+    pub fn reset(&mut self) {
+        *self = LinkFrontier::new(self.floor);
+    }
+
+    /// The cache the last [`LinkFrontier::advance`] returned (empty before
+    /// the first).
+    pub fn cache(&self) -> &LinkCache {
+        &self.cache
+    }
+
+    /// Brings the frontier up to `links` and returns the phase's cache for
+    /// copy-2 degree at least `min_deg2` — the one [`LinkCache::build`]
+    /// would return. `parallel` splits the pass across rayon workers by
+    /// link ranges; the cache is the same either way.
+    pub fn advance<G2: GraphView + Sync>(
+        &mut self,
+        g2: &G2,
+        links: &Linking,
+        min_deg2: usize,
+        parallel: bool,
+    ) -> &LinkCache {
+        let mut span = snr_telemetry::span!("link_cache", links = links.len());
+        let t = snr_telemetry::enabled().then(std::time::Instant::now);
+        if min_deg2 < self.floor || self.cache.slot.len() != links.g1_capacity() {
+            self.floor = self.floor.min(min_deg2);
+            self.reset();
+        }
+        let (routed, linked) = match self.route_all(g2, links, min_deg2, parallel) {
+            Some(routed) => routed,
+            None => {
+                self.reset();
+                self.route_all(g2, links, min_deg2, parallel)
+                    .expect("an empty frontier holds no stale link")
+            }
+        };
+        let (decoded, live) = (routed.decoded as u64, routed.live as u64);
+        let mut slot = std::mem::take(&mut self.cache.slot);
+        slot.resize(links.g1_capacity(), NO_LINK);
+        if decoded > 0 {
+            // Renumber the links: the pass read the old slots, so they are
+            // only rewritten now. Without a new link nothing moved.
+            self.partners.clear();
+            for (k, (w1, w2)) in links.pairs().enumerate() {
+                slot[w1.index()] = k as u32;
+                self.partners.push(w2.0);
+            }
+        }
+        self.cache = LinkCache { slot, offsets: routed.offsets, targets: routed.targets };
+        self.rest_offsets = routed.rest_offsets;
+        self.rest = routed.rest;
+        self.linked = linked;
+        self.cut = min_deg2;
+        span.record(|| format!("decoded={decoded} live={live}"));
+        snr_telemetry::Counter::LinksDecoded.add(decoded);
+        snr_telemetry::Counter::LiveTargets.add(live);
+        if let Some(t) = t {
+            snr_telemetry::Counter::CacheBuildMicros.add(t.elapsed().as_micros() as u64);
+        }
+        &self.cache
+    }
+
+    /// Routes every link of `links` and returns the pass with the linking's
+    /// [`LinkFrontier::linked_partners`], or `None` when `links` is not a
+    /// superset of the linking the frontier last saw (a link gone, or a
+    /// `w1` relinked elsewhere).
+    fn route_all<G2: GraphView + Sync>(
+        &self,
+        g2: &G2,
+        links: &Linking,
+        min_deg2: usize,
+        parallel: bool,
+    ) -> Option<(Routed, Vec<u64>)> {
+        // The decode walks each new `w2`'s neighborhood in link order —
+        // close to sequential over the on-disk layout for mmap-backed
+        // views — while the scoring that follows jumps rows at random.
+        g2.advise_sequential();
+        let linked = self.linked_partners(links, g2.node_count());
+        let routed = if parallel && links.len() >= PARALLEL_LINK_CUTOFF {
+            let pairs = links.to_vec();
+            let chunk = pairs.len().div_ceil(rayon::current_num_threads());
+            let ranges: Vec<&[(NodeId, NodeId)]> = pairs.chunks(chunk).collect();
+            let parts: Vec<Routed> = ranges
+                .par_iter()
+                .map(|range| self.route(g2, &linked, range.iter().copied(), min_deg2))
+                .collect();
+            splice(parts)
+        } else {
+            self.route(g2, &linked, links.pairs(), min_deg2)
+        };
+        g2.advise_random();
+        let held = self.partners.len();
+        (!routed.stale && routed.known == held).then_some((routed, linked))
+    }
+
+    /// A bitmap over copy-2 ids below `n2` (or the linking's capacity, if
+    /// larger) of the partners of every link of `links`: the last
+    /// linking's, plus those of the links added since (a linking that is
+    /// not a superset fails the pass that uses it). One bit test per target
+    /// instead of a lookup in the linking.
+    fn linked_partners(&self, links: &Linking, n2: usize) -> Vec<u64> {
+        let words = links.g2_capacity().max(n2).div_ceil(64);
+        let mut bits =
+            if self.linked.len() == words { self.linked.clone() } else { vec![0; words] };
+        if links.len() != self.partners.len() {
+            for (w1, w2) in links.pairs() {
+                if self.cache.slot.get(w1.index()).is_none_or(|&k| k == NO_LINK) {
+                    bits[w2.index() / 64] |= 1 << (w2.index() % 64);
+                }
+            }
+        }
+        bits
+    }
+
+    /// One pass over `pairs` (a range of `links` in [`Linking::pairs`]
+    /// order): the route of every live target into the cache (degree at
+    /// least `min_deg2`) or the side lists — the one decode-and-filter loop
+    /// of the scoring layer. `linked` is [`LinkFrontier::linked_partners`].
+    fn route<G2: GraphView>(
+        &self,
+        g2: &G2,
+        linked: &[u64],
+        pairs: impl Iterator<Item = (NodeId, NodeId)>,
+        min_deg2: usize,
+    ) -> Routed {
+        // Every live target clears the floor, so a phase at the floor keeps
+        // whole lists without a degree lookup.
+        let all_pass = min_deg2 <= self.floor;
+        let bar = degree_class(min_deg2.max(1));
+        // Whether a target of degree class `class` reaches `min_deg2`; only
+        // a non-power-of-two `min_deg2` of the target's own class needs its
+        // degree.
+        let passes = |v: u32, class: u8| {
+            all_pass
+                || class > bar
+                || (class == bar
+                    && (min_deg2.is_power_of_two() || g2.degree(NodeId(v)) >= min_deg2))
+        };
+        // Targets in the cache have degree at least the last cut, targets in
+        // the side lists below it; only the side that may cross this
+        // phase's filter is looked at.
+        let (cache_stays, side_stays) = (min_deg2 <= self.cut, min_deg2 >= self.cut);
+        let is_linked = |v: u32| linked[v as usize / 64] >> (v % 64) & 1 == 1;
+        let mut out = Routed::new();
+        for (w1, w2) in pairs {
+            out.begin_side();
+            // A reset frontier has no slots: every link is new to it.
+            let held = self.cache.slot.get(w1.index()).copied().unwrap_or(NO_LINK);
+            if held == NO_LINK {
+                out.decoded += 1;
+                for v in g2.neighbors_iter(w2) {
+                    let degree = g2.degree(v);
+                    if degree >= self.floor && !is_linked(v.0) {
+                        let class = degree_class(degree.max(1));
+                        out.keep(v.0, class, all_pass || degree >= min_deg2);
+                    }
+                }
+            } else {
+                let k = held as usize;
+                if self.partners[k] != w2.0 {
+                    out.stale = true;
+                    return out;
+                }
+                out.known += 1;
+                let cached = &self.cache.targets
+                    [self.cache.offsets[k] as usize..self.cache.offsets[k + 1] as usize];
+                let side =
+                    &self.rest[self.rest_offsets[k] as usize..self.rest_offsets[k + 1] as usize];
+                let from_cache = |v: u32, out: &mut Routed| {
+                    if is_linked(v) {
+                        return;
+                    }
+                    if cache_stays {
+                        out.keep(v, 0, true);
+                    } else {
+                        let class = degree_class(g2.degree(NodeId(v)));
+                        out.keep(v, class, passes(v, class));
+                    }
+                };
+                // A side list starts with its highest degree class, and may
+                // hold targets linked since it was written.
+                let (side_top, entries) = side.split_first().map_or((0, &[][..]), |(&t, e)| (t, e));
+                let side_moves = !side.is_empty() && !side_stays && (all_pass || side_top >= bar);
+                if cache_stays && !side_moves {
+                    // Each part keeps its own output: the cache list is
+                    // filtered, the side list copied whole.
+                    for &v in cached {
+                        from_cache(v, &mut out);
+                    }
+                    out.copy_side(side);
+                } else {
+                    let mut below =
+                        SideList { bytes: entries, prev: 0 }.filter(|&(v, _)| !is_linked(v));
+                    let mut next = below.next();
+                    for &v in cached {
+                        while let Some((u, class)) = next.filter(|&(u, _)| u < v) {
+                            out.keep(u, class, passes(u, class));
+                            next = below.next();
+                        }
+                        from_cache(v, &mut out);
+                    }
+                    while let Some((u, class)) = next {
+                        out.keep(u, class, passes(u, class));
+                        next = below.next();
+                    }
+                }
+            }
+            out.end_side();
+            out.offsets.push(out.targets.len() as u32);
+            out.rest_offsets.push(out.rest.len() as u32);
+        }
+        out
+    }
+}
+
+/// `⌊log₂ degree⌋` of a degree of at least 1.
+#[inline]
+fn degree_class(degree: usize) -> u8 {
+    (usize::BITS - 1 - degree.leading_zeros()) as u8
+}
+
+/// Appends `value` to `out` as a LEB128 varint: seven bits per byte, low
+/// bits first, the high bit set on every byte but the last.
+fn push_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+/// The `(id, degree class)` entries of one side list. Each entry is one
+/// [`push_varint`] value: the gap from the previous id shifted left by six
+/// bits, over the six-bit degree class.
+struct SideList<'a> {
+    bytes: &'a [u8],
+    prev: u32,
+}
+
+impl Iterator for SideList<'_> {
+    type Item = (u32, u8);
+
+    #[inline]
+    fn next(&mut self) -> Option<(u32, u8)> {
+        let mut value = 0u64;
+        let mut shift = 0;
+        loop {
+            let (&byte, tail) = self.bytes.split_first()?;
+            self.bytes = tail;
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                break;
+            }
+            shift += 7;
+        }
+        self.prev += (value >> 6) as u32;
+        Some((self.prev, (value & 0x3f) as u8))
+    }
+}
+
+impl Routed {
+    fn new() -> Routed {
+        Routed {
+            offsets: vec![0],
+            targets: Vec::new(),
+            rest_offsets: vec![0],
+            rest: Vec::new(),
+            known: 0,
+            decoded: 0,
+            live: 0,
+            prev: 0,
+            side_start: 0,
+            side_top: 0,
+            stale: false,
+        }
+    }
+
+    /// Opens the next link's side list behind a placeholder header.
+    #[inline]
+    fn begin_side(&mut self) {
+        self.prev = 0;
+        self.side_top = 0;
+        self.side_start = self.rest.len();
+        self.rest.push(0);
+    }
+
+    /// Closes the current link's side list: writes its header, or drops it
+    /// when no target went to it.
+    #[inline]
+    fn end_side(&mut self) {
+        if self.rest.len() == self.side_start + 1 {
+            self.rest.pop();
+        } else {
+            self.rest[self.side_start] = self.side_top;
+        }
+    }
+
+    /// Takes a held side list over unchanged, header included.
+    #[inline]
+    fn copy_side(&mut self, side: &[u8]) {
+        debug_assert_eq!(self.rest.len(), self.side_start + 1, "side list already written");
+        self.rest.truncate(self.side_start);
+        self.rest.extend_from_slice(side);
+        self.side_start = self.rest.len();
+        self.rest.push(0);
+    }
+
+    /// Routes live target `v` of degree class `class` to the current link's
+    /// cache list or side list.
+    #[inline]
+    fn keep(&mut self, v: u32, class: u8, to_cache: bool) {
+        self.live += 1;
+        if to_cache {
+            self.targets.push(v);
+        } else {
+            push_varint(&mut self.rest, (u64::from(v - self.prev) << 6) | u64::from(class));
+            self.prev = v;
+            self.side_top = self.side_top.max(class);
+        }
+    }
+}
+
+/// Concatenates per-range passes in range order, rebasing their offsets.
+fn splice(parts: Vec<Routed>) -> Routed {
+    let mut all = Routed::new();
+    all.targets.reserve_exact(parts.iter().map(|p| p.targets.len()).sum());
+    all.rest.reserve_exact(parts.iter().map(|p| p.rest.len()).sum());
+    for part in parts {
+        let (base, rest_base) = (all.targets.len() as u32, all.rest.len() as u32);
+        all.offsets.extend(part.offsets[1..].iter().map(|&o| o + base));
+        all.rest_offsets.extend(part.rest_offsets[1..].iter().map(|&o| o + rest_base));
+        all.targets.extend(part.targets);
+        all.rest.extend(part.rest);
+        all.known += part.known;
+        all.decoded += part.decoded;
+        all.live += part.live;
+        all.stale |= part.stale;
+    }
+    all
 }
 
 /// Dense, generation-stamped scratch for accumulating one candidate row.
@@ -889,9 +1222,10 @@ where
     G2: GraphView + Sync,
 {
     let candidates = collect_candidates(g1, links, min_deg_g1);
-    let cache = LinkCache::build_for_phase(g2, links, min_deg_g2, parallel);
+    let mut frontier = LinkFrontier::new(min_deg_g2);
+    let cache = frontier.advance(g2, links, min_deg_g2, parallel);
     let n2 = g2.node_count();
-    score_phase_cached(g1, &cache, n2, &candidates, parallel, || SelectSink::new(n2, threshold))
+    score_phase_cached(g1, cache, n2, &candidates, parallel, || SelectSink::new(n2, threshold))
         .finish()
 }
 
@@ -916,27 +1250,20 @@ pub(crate) fn packed_row_bytes(row: &[u64]) -> usize {
 }
 
 /// Mapper kernel of the MapReduce witness round: scores a contiguous chunk
-/// of candidate copy-1 rows through a *task-local* [`LinkCache`] +
-/// [`ScoreArena`] (each linked neighbor list is decoded once per task — in
-/// a real cluster this is the map-side join against the broadcast link set)
-/// and emits one already-aggregated `(u, packed (v, count) row)` record per
-/// non-empty candidate row.
-pub(crate) fn score_chunk_to_rows<G1, G2>(
+/// of candidate copy-1 rows through the phase's shared [`LinkCache`] and a
+/// task-local [`ScoreArena`] (in a real cluster the cache is the map-side
+/// join against the broadcast link set) and emits one already-aggregated
+/// `(u, packed (v, count) row)` record per non-empty candidate row.
+fn score_chunk_to_rows<G1: GraphView>(
     g1: &G1,
-    g2: &G2,
-    links: &Linking,
-    min_deg2: usize,
+    cache: &LinkCache,
+    n2: usize,
     chunk: &[u32],
-) -> Vec<(u32, Vec<u64>)>
-where
-    G1: GraphView,
-    G2: GraphView,
-{
-    let cache = LinkCache::build(g2, links, min_deg2);
-    let mut arena = ScoreArena::new(g2.node_count());
+) -> Vec<(u32, Vec<u64>)> {
+    let mut arena = ScoreArena::new(n2);
     let mut out = Vec::new();
     for &u in chunk {
-        score_row(g1, &cache, NodeId(u), &mut arena);
+        score_row(g1, cache, NodeId(u), &mut arena);
         let touched = arena.touched();
         if !touched.is_empty() {
             let row: Vec<u64> = touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect();
@@ -994,12 +1321,9 @@ where
 /// [`mapreduce_fused_phase`] over a caller-supplied candidate list
 /// (ascending copy-1 ids, already degree-eligible and unlinked): the
 /// candidate rows become the round's map input directly instead of being
-/// rescanned from `g1`.
-///
-/// The round runs through [`Engine::run`]: when the engine carries a
-/// memory budget the shuffle spills to checksummed run files
-/// (`PackedRowCodec`), and any spill I/O or corruption failure surfaces
-/// as a clean [`EngineError`].
+/// rescanned from `g1`. The phase's [`LinkCache`] is built here; a run that
+/// keeps a [`LinkFrontier`] passes its cache to [`mapreduce_phase_cached`]
+/// instead.
 pub fn mapreduce_fused_phase_on<G1, G2>(
     engine: &Engine,
     g1: &G1,
@@ -1013,7 +1337,30 @@ where
     G1: GraphView + Sync,
     G2: GraphView + Sync,
 {
-    let (n1, n2) = (g1.node_count(), g2.node_count());
+    let cache = LinkCache::build(g2, links, min_deg2);
+    mapreduce_phase_cached(engine, g1, &cache, g2.node_count(), candidates, threshold)
+}
+
+/// One MapReduce phase over a caller-supplied candidate list and
+/// [`LinkCache`] (with `n2`, the copy-2 node count the cache was built
+/// against): every map task scores its rows through the one shared cache.
+///
+/// The round runs through [`Engine::run`]: when the engine carries a
+/// memory budget the shuffle spills to checksummed run files
+/// (`PackedRowCodec`), and any spill I/O or corruption failure surfaces
+/// as a clean [`EngineError`].
+pub fn mapreduce_phase_cached<G1>(
+    engine: &Engine,
+    g1: &G1,
+    cache: &LinkCache,
+    n2: usize,
+    candidates: Vec<u32>,
+    threshold: u32,
+) -> Result<(usize, Vec<(NodeId, NodeId)>), EngineError>
+where
+    G1: GraphView + Sync,
+{
+    let n1 = g1.node_count();
     let parts = engine.workers();
     let sinks: Vec<SelectSink> = engine.run(
         "witness-score",
@@ -1021,7 +1368,7 @@ where
         // Map tasks take disjoint slices of the candidate list and emit
         // each row at most once, so every key group holds exactly one
         // fragment.
-        |chunk: &[u32]| score_chunk_to_rows(g1, g2, links, min_deg2, chunk),
+        |chunk: &[u32]| score_chunk_to_rows(g1, cache, n2, chunk),
         move |&u: &u32| range_partition(u, n1, parts),
         |_, row: &Vec<u64>| packed_row_bytes(row),
         |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
@@ -1122,11 +1469,12 @@ mod tests {
         d: usize,
         parallel: bool,
     ) -> ScoreTable {
-        let cache = LinkCache::build_for_phase(g2, links, d, parallel);
+        let mut frontier = LinkFrontier::new(d);
+        let cache = frontier.advance(g2, links, d, parallel);
         let mut arena = ScoreArena::new(g2.node_count());
         let mut table = ScoreTable::new();
         for u in collect_candidates(g1, links, d) {
-            score_row(g1, &cache, NodeId(u), &mut arena);
+            score_row(g1, cache, NodeId(u), &mut arena);
             table.extend(arena.touched().iter().map(|&v| ((u, v), arena.get(v))));
         }
         table
@@ -1212,20 +1560,26 @@ mod tests {
     }
 
     #[test]
-    fn parallel_link_cache_build_matches_sequential() {
-        let (g1, g2, _) = pa_workload(31, 4_000, 6);
+    fn parallel_frontier_passes_match_sequential() {
+        let (g1, g2, _) = pa_workload(31, 9_000, 6);
         let n = g1.node_count().min(g2.node_count()) as u32;
-        // Enough identity links to cross the parallel cutoff.
-        let seeds: Vec<(NodeId, NodeId)> =
-            (0..n / 2).map(|i| (NodeId(i * 2), NodeId(i * 2))).collect();
-        assert!(seeds.len() >= super::PARALLEL_BUILD_CUTOFF);
-        let links = Linking::with_seeds(g1.node_count(), g2.node_count(), &seeds);
+        // Enough identity links to cross the parallel cutoff, added in two
+        // batches so the second phase decodes a parallel-sized delta.
+        let half = |parity: u32| -> Vec<(NodeId, NodeId)> {
+            (0..n / 4).map(|i| (NodeId(i * 4 + parity), NodeId(i * 4 + parity))).collect()
+        };
+        let (first, second) = (half(0), half(2));
+        assert!(first.len() >= super::PARALLEL_LINK_CUTOFF);
+        let mut links = Linking::with_seeds(g1.node_count(), g2.node_count(), &first);
+        let (mut seq, mut par) = (LinkFrontier::new(1), LinkFrontier::new(1));
         for d in [1usize, 2, 4] {
-            let seq = LinkCache::build(&g2, &links, d);
-            let par = LinkCache::build_parallel(&g2, &links, d);
-            assert_eq!(par.slot, seq.slot, "slot at d={d}");
-            assert_eq!(par.offsets, seq.offsets, "offsets at d={d}");
-            assert_eq!(par.targets, seq.targets, "targets at d={d}");
+            assert_eq!(par.advance(&g2, &links, d, true), seq.advance(&g2, &links, d, false));
+            assert_eq!(seq.cache(), &LinkCache::build(&g2, &links, d), "d={d}");
+        }
+        links.insert_batch(&second);
+        for d in [4usize, 2, 1] {
+            assert_eq!(par.advance(&g2, &links, d, true), seq.advance(&g2, &links, d, false));
+            assert_eq!(seq.cache(), &LinkCache::build(&g2, &links, d), "d={d}");
         }
     }
 
@@ -1546,8 +1900,9 @@ mod tests {
             let expected = fused_phase(&g1, &g2, &links, d, d, t, false);
             let n2 = g2.node_count();
             for parallel in [false, true] {
-                let link_cache = LinkCache::build_for_phase(&g2, &links, d, parallel);
-                let sink = score_phase_cached(&g1, &link_cache, n2, &candidates, parallel, || {
+                let mut frontier = LinkFrontier::new(d);
+                let link_cache = frontier.advance(&g2, &links, d, parallel);
+                let sink = score_phase_cached(&g1, link_cache, n2, &candidates, parallel, || {
                     SelectSink::new(n2, t)
                 });
                 assert_eq!(sink.finish(), expected, "d={d} t={t} parallel={parallel}");

@@ -34,7 +34,7 @@ fn workload(use_pa: bool, n: usize, density: u32, seed: u64) -> (CsrGraph, CsrGr
 /// Runs the row kernel over every candidate of the phase (degree at least
 /// `min_deg`, unlinked) and reads each row's `(v, count)` entries back from
 /// the arena into a table.
-fn kernel_rows<G1: GraphView, G2: GraphView>(
+fn kernel_rows<G1: GraphView, G2: GraphView + Sync>(
     g1: &G1,
     g2: &G2,
     links: &Linking,

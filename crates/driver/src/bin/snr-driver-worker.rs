@@ -2,13 +2,14 @@
 //!
 //! Speaks the length-prefixed frame protocol of `snr_driver::protocol` over
 //! stdin/stdout: opens the segment stores named by `Init`, folds each
-//! `Phase`'s link delta into a resident `Linking` and rebuilds the
-//! `LinkCache`, and answers every `Task` with the serialized `SelectSink`
-//! claims of one contiguous row-range. A `Reinit` frame (sent to fresh
-//! processes — respawns and resumed runs) replaces the resident `Linking`
-//! with the full snapshot it carries, which by the invariant in
+//! `Phase`'s link delta into a resident `Linking` and advances its link
+//! frontier (decoding only the delta's links; `Init` carries the
+//! frontier's degree floor), and answers every `Task` with the serialized
+//! `SelectSink` claims of one contiguous row-range. A `Reinit` frame (sent
+//! to fresh processes — respawns and resumed runs) replaces the resident
+//! `Linking` with the full snapshot it carries, which by the invariant in
 //! `snr_driver::driver` is bit-identical to the state an uninterrupted
-//! worker would hold. Fatal failures go out as one `WorkerError` frame
+//! worker would hold, and restarts the frontier from that snapshot. Fatal failures go out as one `WorkerError` frame
 //! followed by a nonzero exit; `Shutdown` or EOF on stdin is a clean exit.
 //!
 //! Fault injection (tests only) comes from the `SNR_FAULT` spec the
@@ -61,10 +62,10 @@ fn run() -> Result<(), DriverError> {
         let Some(msg) = read_frame(&mut stdin)? else { return Ok(()) };
         match msg {
             Message::Shutdown => return Ok(()),
-            Message::Init { worker_id, n1, n2, g1, g2 } => {
+            Message::Init { worker_id, n1, n2, degree_floor, g1, g2 } => {
                 state = Some(WorkerState {
                     worker_id,
-                    scorer: TaskScorer::open(&g1, &g2)?,
+                    scorer: TaskScorer::open(&g1, &g2, degree_floor)?,
                     links: Linking::new(n1 as usize, n2 as usize),
                     params: None,
                 });
@@ -88,6 +89,7 @@ fn run() -> Result<(), DriverError> {
                 let mut links = Linking::new(st.links.g1_capacity(), st.links.g2_capacity());
                 links.insert_batch(&to_pairs(&links_full));
                 st.links = links;
+                st.scorer.reset();
                 if phase == 0 {
                     // Handshake completed before the first phase broadcast;
                     // the Phase frame will follow.

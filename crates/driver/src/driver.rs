@@ -61,7 +61,7 @@ use crate::error::DriverError;
 use crate::protocol::{read_frame, write_frame, G1Spec, G2Spec, Message};
 use crate::task::{PhaseParams, TaskScorer};
 use snr_core::scoring::{SelectSink, SinkClaims};
-use snr_core::{Linking, MatchingConfig, MatchingOutcome, PhaseStats};
+use snr_core::{Linking, MatchingConfig, MatchingOutcome, Phase, PhaseStats};
 use snr_faults::{FaultRegistry, FaultSite};
 use snr_graph::{GraphView, NodeId};
 use snr_store::segment::{SegmentMeta, HEADER_LEN};
@@ -766,7 +766,11 @@ impl ShardDriver {
     ) -> Result<(), DriverError> {
         let scorer = match inproc {
             Some(scorer) => scorer,
-            None => inproc.insert(TaskScorer::open(&self.plan.g1_spec, &self.plan.g2_spec)?),
+            None => inproc.insert(TaskScorer::open(
+                &self.plan.g1_spec,
+                &self.plan.g2_spec,
+                self.degree_floor(),
+            )?),
         };
         let mut scored = 0u64;
         for (task, &(first_node, node_count)) in self.plan.tasks.iter().enumerate() {
@@ -786,6 +790,13 @@ impl ShardDriver {
             "worker pool empty in phase {phase}; scored {scored} row-range(s) in-process"
         );
         Ok(())
+    }
+
+    /// The lowest `min_degree` of the run's phases: the floor of every
+    /// task scorer's link frontier.
+    fn degree_floor(&self) -> u32 {
+        let floor = Phase::degree_floor(&self.config.matching.schedule(self.max_degree));
+        u32::try_from(floor).unwrap_or(u32::MAX)
     }
 
     /// Maps an echoed range start back to its task index.
@@ -1080,6 +1091,7 @@ impl WorkerPool {
             worker_id: id,
             n1: driver.n1 as u64,
             n2: driver.n2 as u64,
+            degree_floor: driver.degree_floor(),
             g1: driver.plan.g1_spec.clone(),
             g2: driver.plan.g2_spec.clone(),
         };

@@ -9,8 +9,9 @@
 //!
 //! 1. the coordinator broadcasts the phase parameters and the link delta,
 //! 2. workers score their assigned contiguous row-ranges of the
-//!    memory-mapped segments through a [`task::TaskScorer`] (task-local
-//!    `LinkCache` + `ScoreArena` into a local `SelectSink`),
+//!    memory-mapped segments through a [`task::TaskScorer`] (a run-long
+//!    `LinkFrontier` that decodes only the delta's links, plus a
+//!    `ScoreArena` into a local `SelectSink`),
 //! 3. serialized per-range sink claims travel back over stdout and merge
 //!    on the coordinator via `Best::merge`,
 //!

@@ -76,6 +76,9 @@ pub enum Message {
         n1: u64,
         /// Copy-2 node-space size.
         n2: u64,
+        /// The lowest `min_degree` of any phase of the run: the floor of
+        /// the worker's link frontier.
+        degree_floor: u32,
         /// How to open copy-1 rows.
         g1: G1Spec,
         /// How to open the copy-2 graph.
@@ -104,8 +107,8 @@ pub enum Message {
     },
     /// Coordinator → worker: start a phase. `links_delta` is the pairs
     /// inserted since the previous phase (the seed set before phase 1);
-    /// the worker folds it into its resident `Linking` and rebuilds its
-    /// `LinkCache`.
+    /// the worker folds it into its resident `Linking` and advances its
+    /// link frontier, decoding only the links in the delta.
     Phase {
         /// 1-based phase number.
         phase: u32,
@@ -308,11 +311,12 @@ impl Message {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Message::Init { worker_id, n1, n2, g1, g2 } => {
+            Message::Init { worker_id, n1, n2, degree_floor, g1, g2 } => {
                 out.push(TAG_INIT);
                 put_u32(&mut out, *worker_id);
                 put_u64(&mut out, *n1);
                 put_u64(&mut out, *n2);
+                put_u32(&mut out, *degree_floor);
                 g1.encode(&mut out);
                 put_str(&mut out, &g2.path);
             }
@@ -395,6 +399,7 @@ impl Message {
                 worker_id: c.u32()?,
                 n1: c.u64()?,
                 n2: c.u64()?,
+                degree_floor: c.u32()?,
                 g1: G1Spec::decode(&mut c)?,
                 g2: G2Spec { path: c.string()? },
             },
@@ -502,6 +507,7 @@ mod tests {
                 worker_id: 3,
                 n1: 1_000,
                 n2: 999,
+                degree_floor: 2,
                 g1: G1Spec::Shards { paths: vec!["a.snrs".into(), "b.snrs".into()] },
                 g2: G2Spec { path: "g2.snrs".into() },
             },

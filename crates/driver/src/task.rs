@@ -3,13 +3,13 @@
 //! A worker subprocess answers each `Task` frame through a [`TaskScorer`],
 //! and the coordinator's degradation path scores the ranges no worker is
 //! left to take through its own [`TaskScorer`] over the same scratch
-//! segments. Both therefore run the same views, the same `LinkCache`
-//! build and the same [`score_assigned_rows`] + `SelectSink` kernel, which
-//! is what makes an in-process range bit-identical to a worker's.
+//! segments. Both therefore run the same views, the same `LinkFrontier`
+//! and the same [`score_assigned_rows`] + `SelectSink` kernel, which is
+//! what makes an in-process range bit-identical to a worker's.
 
 use crate::error::DriverError;
 use crate::protocol::{G1Spec, G2Spec};
-use snr_core::scoring::{score_assigned_rows, LinkCache, ScoreArena, SelectSink, SinkClaims};
+use snr_core::scoring::{score_assigned_rows, LinkFrontier, ScoreArena, SelectSink, SinkClaims};
 use snr_core::Linking;
 use snr_graph::GraphView;
 use snr_store::{MmapGraph, ShardedGraph};
@@ -34,35 +34,47 @@ enum G1Graph {
 
 /// Scores driver tasks over memory-mapped scratch segments.
 ///
-/// Owns the task-local [`ScoreArena`] and a `LinkCache` stamped with the
-/// phase it was built for, so it is rebuilt once per phase however many
-/// ranges the phase scores.
+/// Owns the task-local [`ScoreArena`] and a [`LinkFrontier`] that lives as
+/// long as the scorer: each phase's cache is cut once, however many ranges
+/// the phase scores, and each link's copy-2 neighborhood is decoded once
+/// per process.
 pub struct TaskScorer {
     g1: G1Graph,
     g2: MmapGraph,
     arena: ScoreArena,
-    cache: Option<(u32, LinkCache)>,
+    frontier: LinkFrontier,
+    /// The phase the frontier's cache was cut for.
+    phase: Option<u32>,
 }
 
 impl TaskScorer {
     /// Maps the segments the specs name (verifying their checksums).
-    pub fn open(g1: &G1Spec, g2: &G2Spec) -> Result<TaskScorer, DriverError> {
+    /// `degree_floor` is the lowest `min_degree` of the run's phases.
+    pub fn open(g1: &G1Spec, g2: &G2Spec, degree_floor: u32) -> Result<TaskScorer, DriverError> {
         let g1 = match g1 {
             G1Spec::MmapWhole { path } => G1Graph::Whole(MmapGraph::open(path)?),
             G1Spec::Shards { paths } => G1Graph::Sharded(ShardedGraph::open(paths)?),
         };
         let g2 = MmapGraph::open(&g2.path)?;
         let arena = ScoreArena::new(g2.node_count());
-        Ok(TaskScorer { g1, g2, arena, cache: None })
+        let frontier = LinkFrontier::new(degree_floor as usize);
+        Ok(TaskScorer { g1, g2, arena, frontier, phase: None })
     }
 
-    /// Builds the `LinkCache` of `params.phase` from `links` unless it is
-    /// already current. `links` must be the link state the phase scores
-    /// against.
+    /// Forgets the decoded links, for a link state that replaces rather
+    /// than extends the last one (a `Reinit` snapshot).
+    pub fn reset(&mut self) {
+        self.frontier.reset();
+        self.phase = None;
+    }
+
+    /// Advances the link frontier to `links` and cuts the cache of
+    /// `params.phase`, unless it is already current. `links` must be the
+    /// link state the phase scores against.
     pub fn prepare(&mut self, params: &PhaseParams, links: &Linking) {
-        if self.cache.as_ref().map(|&(phase, _)| phase) != Some(params.phase) {
-            let cache = LinkCache::build(&self.g2, links, params.min_degree as usize);
-            self.cache = Some((params.phase, cache));
+        if self.phase != Some(params.phase) {
+            self.frontier.advance(&self.g2, links, params.min_degree as usize, false);
+            self.phase = Some(params.phase);
         }
     }
 
@@ -76,7 +88,7 @@ impl TaskScorer {
         node_count: u32,
     ) -> SinkClaims {
         self.prepare(params, links);
-        let cache = &self.cache.as_ref().expect("prepared above").1;
+        let cache = self.frontier.cache();
         let mut sink = SelectSink::new(self.g2.node_count(), params.threshold);
         let rows = first_node..first_node + node_count;
         let min_degree = params.min_degree as usize;

@@ -187,6 +187,40 @@ fn respawn_resurrects_a_single_worker_pool() {
 }
 
 #[test]
+fn respawned_worker_restarts_its_link_frontier_from_reinit() {
+    // Dense PA copies with many seeds: the first sweep links most nodes, so
+    // a worker's link frontier has decoded almost every link by round 3.
+    let mut rng = StdRng::seed_from_u64(76);
+    let g = preferential_attachment(1_000, 6, &mut rng).unwrap();
+    let pair = independent_deletion_symmetric(&g, 0.9, &mut rng).unwrap();
+    let seeds = sample_seeds(&pair, 0.30, &mut rng).unwrap();
+    let matching = MatchingConfig::default().with_threshold(2).with_iterations(2);
+    let reference = UserMatching::new(matching.clone()).run(&pair.g1, &pair.g2, &seeds);
+    let first_sweep = reference.phases.iter().rfind(|p| p.iteration == 1).unwrap();
+    assert!(
+        first_sweep.total_links * 10 > pair.g1.node_count() * 8,
+        "the first sweep should link most nodes ({} of {})",
+        first_sweep.total_links,
+        pair.g1.node_count()
+    );
+    // The only worker dies on its first round-3 task: its replacement holds
+    // no frontier and must rebuild one from the Reinit snapshot mid-run.
+    let (outcome, stats) = with_watchdog(move || {
+        let mut config = config(1, "kill:w0@round3", Duration::from_secs(60));
+        config.matching = matching;
+        config.respawn_budget = 2;
+        config.degrade = DegradePolicy::Fail;
+        let driver = ShardDriver::new(&pair.g1, &pair.g2, config)?;
+        let outcome = driver.run(&seeds)?;
+        Ok::<_, DriverError>((outcome, driver.last_run_stats()))
+    })
+    .expect("a respawn budget of 2 revives a single-worker pool");
+    assert!(stats.respawns >= 1, "the kill must have consumed respawn budget: {stats:?}");
+    assert_eq!(outcome.links, reference.links, "respawned run diverged from sequential");
+    assert_eq!(phase_counters(&outcome), phase_counters(&reference));
+}
+
+#[test]
 fn halted_run_resumes_from_checkpoint_bit_identically() {
     let (pair, seeds) = workload(76);
     // `resume` reopens the scratch segments and replans the tasks through

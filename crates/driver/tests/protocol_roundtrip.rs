@@ -15,6 +15,7 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             worker_id: a,
             n1: u64::from(b) + 1,
             n2: u64::from(a) + 1,
+            degree_floor: b,
             g1: G1Spec::MmapWhole { path: format!("/tmp/g1-{b}.snrs") },
             g2: G2Spec { path: format!("/tmp/g2-{a}.snrs") },
         },
@@ -22,6 +23,7 @@ fn build_message(pick: u32, a: u32, b: u32, pairs: Vec<(u32, u32)>) -> Message {
             worker_id: a,
             n1: u64::from(a),
             n2: u64::from(b),
+            degree_floor: a ^ b,
             g1: G1Spec::Shards {
                 paths: pairs.iter().map(|(x, y)| format!("/tmp/s-{x}-{y}.snrs")).collect(),
             },

@@ -118,6 +118,7 @@ fn main() {
             assert!(why.contains("spill_io"), "unexpected error detail: {why}");
             println!("injected spill_io fault: clean EngineError ({why})");
         }
+        Err(other) => panic!("injected spill_io fault failed with the wrong error: {other}"),
         Ok(_) => panic!("injected spill_io fault did not fail the round"),
     }
     assert!(!scratch.exists(), "scratch dir must be removed on the error path");

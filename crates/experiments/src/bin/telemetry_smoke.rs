@@ -14,7 +14,11 @@
 //! 1. a **healthy** distributed run, whose JSONL trace must schema-validate
 //!    and contain the coordinator's `phase` spans, per-worker `task` spans
 //!    (shipped home as `Stats` frames and tagged `worker=<N>`), and
-//!    `checkpoint` events;
+//!    `checkpoint` events; and in which every worker decodes each link at
+//!    most once — the `decoded` fields of its `link_cache` spans, and the
+//!    `links_decoded` counter per worker, stay within the final link count,
+//!    so a link frontier that silently falls back to rebuilding every
+//!    phase fails here;
 //! 2. a **faulted** run (every worker killed on its first round-1 task and
 //!    stalled 1ms per round-2 task), whose trace must additionally carry
 //!    the `respawn` event the coordinator emits when it heals a kill and the
@@ -68,6 +72,22 @@ fn traced_run(
 
 fn span_count(summary: &TraceSummary, name: &str) -> usize {
     summary.spans.iter().filter(|s| s.name == name).count()
+}
+
+/// The summed `decoded=<n>` fields of `worker`'s `link_cache` spans: the
+/// links that worker's frontier decoded over the run.
+fn links_decoded_by(summary: &TraceSummary, worker: usize) -> u64 {
+    let tag = format!("worker={worker} ");
+    summary
+        .spans
+        .iter()
+        .filter(|s| s.name == "link_cache" && s.fields.contains(&tag))
+        .filter_map(|s| {
+            s.fields
+                .split_whitespace()
+                .find_map(|f| f.strip_prefix("decoded=")?.parse::<u64>().ok())
+        })
+        .sum()
 }
 
 fn event_count(summary: &TraceSummary, name: &str) -> usize {
@@ -132,6 +152,22 @@ fn main() {
     assert!(
         matches!(tasks_done, Some((_, v)) if *v as usize == tasks),
         "tasks_completed counter ({tasks_done:?}) disagrees with task span count ({tasks})"
+    );
+    // Each worker's frontier decodes a link once, when it first sees it, so
+    // no worker can decode more links than the run ends with.
+    let final_links = outcome.links.len() as u64;
+    for w in 0..workers {
+        let decoded = links_decoded_by(&summary, w);
+        assert!(decoded > 0, "worker {w} shipped no link_cache span with a decoded field");
+        assert!(
+            decoded <= final_links,
+            "worker {w} decoded {decoded} links, more than the {final_links} the run ends with"
+        );
+    }
+    let counted = summary.counters.iter().find(|(n, _)| n == "links_decoded").map(|&(_, v)| v);
+    assert!(
+        matches!(counted, Some(v) if v <= final_links * workers as u64),
+        "links_decoded counter ({counted:?}) exceeds {workers} x {final_links} final links"
     );
     println!(
         "healthy: {} trace lines — {phases} phase spans, {tasks} task spans from {per_worker} workers, {} checkpoint events",

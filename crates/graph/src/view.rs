@@ -121,8 +121,8 @@ pub trait GraphView {
     }
 
     /// Hints that the caller is about to stream most of the adjacency in
-    /// one pass (e.g. a per-phase `LinkCache` build decoding every linked
-    /// neighborhood). Purely an access-pattern hint: default no-op;
+    /// one pass (e.g. a link frontier decoding the neighborhoods of newly
+    /// linked nodes). Purely an access-pattern hint: default no-op;
     /// mmap-backed views forward it to `madvise(MADV_SEQUENTIAL)` so the
     /// kernel reads ahead. Never affects results.
     fn advise_sequential(&self) {}

@@ -13,8 +13,9 @@ const DEFAULT_CHUNK: usize = 8_192;
 
 /// Upper bound on map tasks per worker when no chunk size is configured.
 ///
-/// Chunked mappers typically pay a per-task setup cost (the witness rounds
-/// build a task-local `LinkCache`), so chunks are sized to keep the task
+/// Chunked mappers typically pay a per-task setup cost (each witness-round
+/// task allocates a score arena over every copy-2 node; the link cache is
+/// built once per phase and shared), so chunks are sized to keep the task
 /// count at a small multiple of the worker count instead of letting a
 /// large input explode into thousands of setup-heavy tasks.
 const TASKS_PER_WORKER: usize = 4;

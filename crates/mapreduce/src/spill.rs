@@ -55,12 +55,16 @@ pub const RUN_FOOTER_LEN: usize = 8;
 pub enum EngineError {
     /// A spill run file could not be written, read back, or validated.
     Spill(String),
+    /// The caller asked for a run the configuration cannot express (a
+    /// candidate source or entry point the chosen backend does not offer).
+    InvalidConfig(String),
 }
 
 impl fmt::Display for EngineError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             EngineError::Spill(why) => write!(f, "spill error: {why}"),
+            EngineError::InvalidConfig(why) => write!(f, "invalid configuration: {why}"),
         }
     }
 }
@@ -428,7 +432,7 @@ mod tests {
                 Ok(())
             });
             let err = outcome.expect_err("flipping a byte must be detected");
-            let EngineError::Spill(why) = err;
+            let EngineError::Spill(why) = err else { panic!("byte {i}: not a spill error: {err}") };
             assert!(
                 why.contains("checksum") || why.contains("magic"),
                 "byte {i}: unexpected error {why:?}"

@@ -203,7 +203,7 @@ impl GraphView for MmapGraph {
     }
 
     /// `madvise(MADV_SEQUENTIAL)` over the whole mapping: the kernel reads
-    /// ahead while a streaming pass (the `LinkCache` build) walks the file.
+    /// ahead while a streaming pass (a link frontier's decode) walks the file.
     fn advise_sequential(&self) {
         let _ = self.map.advise(Advice::Sequential);
     }

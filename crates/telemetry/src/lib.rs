@@ -249,6 +249,25 @@ mod tests {
     }
 
     #[test]
+    fn recorded_fields_append_to_the_span() {
+        let _l = serial();
+        {
+            let mut ghost = span!("ghost");
+            ghost.record(|| unreachable!("a disabled span renders no fields"));
+        }
+        enable();
+        {
+            let mut g = span!("link_cache", links = 3);
+            g.record(|| "decoded=2 live=9".to_string());
+            let mut bare = span!("bare");
+            bare.record(|| "n=1".to_string());
+        }
+        let d = drain_delta();
+        assert_eq!((d.spans[0].0.as_str(), d.spans[0].1.as_str()), ("bare", "n=1"));
+        assert_eq!(d.spans[1].1, "links=3 decoded=2 live=9");
+    }
+
+    #[test]
     fn counters_saturate_instead_of_wrapping() {
         let _l = serial();
         enable();

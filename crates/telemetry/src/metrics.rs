@@ -65,6 +65,10 @@ metric_enum! {
         LshGateExact => "lsh_gate_exact",
         /// Microseconds spent building candidate/link caches.
         CacheBuildMicros => "cache_build_micros",
+        /// Links whose copy-2 neighborhood a link frontier decoded.
+        LinksDecoded => "links_decoded",
+        /// Live link-frontier targets the phases' link caches were cut from.
+        LiveTargets => "live_targets",
         /// Bytes written to driver checkpoints.
         CheckpointBytes => "checkpoint_bytes",
         /// Checkpoints successfully written by the driver.

@@ -126,6 +126,17 @@ impl SpanGuard {
     }
 }
 
+impl SpanGuard {
+    /// Appends fields known only once the spanned work is done (counts a
+    /// pass produced). `fields` is only invoked while the span is live, so
+    /// a disabled span does not allocate.
+    pub fn record<F: FnOnce() -> String>(&mut self, fields: F) {
+        if let Some(inner) = self.inner.as_mut() {
+            inner.fields = join_fields(&inner.fields, &fields());
+        }
+    }
+}
+
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(inner) = self.inner.take() else { return };
