@@ -128,9 +128,9 @@ fn bench_rmat16(c: &mut Criterion) {
         })
     });
 
-    // The MapReduce backend's fused phase (combiner mappers + packed
-    // row shuffle + select-fused reduce) — what one matcher phase actually
-    // runs on Backend::MapReduce since the arena rebuild.
+    // The MapReduce backend's fused phase (row-scoring mappers that ship
+    // selection claims, per-column select reducers) — what one matcher
+    // phase actually runs on Backend::MapReduce.
     group.bench_function("csr/mapreduce_fused", |b| {
         let engine = Engine::new(4);
         b.iter(|| black_box(mapreduce_fused_phase(&engine, g1, g2, &links, 2, 2, 2)))
@@ -139,13 +139,16 @@ fn bench_rmat16(c: &mut Criterion) {
         let engine = Engine::new(4);
         b.iter(|| black_box(mapreduce_fused_phase(&engine, &c1, &c2, &links, 2, 2, 2)))
     });
-    // The same fused round forced out-of-core: a 1 MiB budget makes every
-    // map task spill its sorted buckets to run files that the reduce
-    // k-way merges back. The baseline pins the cost of the spill write +
-    // checksum + merge path relative to the in-memory round above.
+    // The same fused round forced out-of-core: a zero budget makes every
+    // non-empty map task spill its sorted buckets to run files that the
+    // reduce k-way merges back, however small the claims shuffle gets.
+    // The baseline pins the cost of the spill write + checksum + merge path
+    // relative to the in-memory round above.
     group.bench_function("csr/mapreduce_spill", |b| {
         let scratch = std::env::temp_dir().join(format!("snr-bench-spill-{}", std::process::id()));
-        let engine = Engine::new(4).with_spill_budget(Some(1 << 20)).with_scratch_dir(scratch);
+        let engine = Engine::new(4).with_spill_budget(Some(0)).with_scratch_dir(scratch);
+        mapreduce_fused_phase(&engine, g1, g2, &links, 2, 2, 2).expect("spilling round");
+        assert!(engine.stats().per_round[0].spilled_runs > 0, "the spill bench must spill");
         b.iter(|| black_box(mapreduce_fused_phase(&engine, g1, g2, &links, 2, 2, 2)))
     });
 

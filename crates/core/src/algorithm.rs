@@ -215,10 +215,10 @@ impl UserMatching {
 
             let (scored_pairs, new_pairs) = match (engine_ref, cfg.candidates) {
                 // One engine round per phase: mappers score candidate rows
-                // on task-local arenas against the shared cache, the packed
-                // shuffle is range-partitioned by row, and the reduce folds
-                // rows into per-partition SelectSinks — no global score
-                // table, same bits as the in-process phase.
+                // into task-local SelectSinks against the shared cache and
+                // ship their claims split by column, and each reduce
+                // partition absorbs its pieces and finishes its columns —
+                // no global score table, same bits as the in-process phase.
                 (Some(engine), _) => {
                     mapreduce_phase_cached(engine, g1, cache, n2, candidates, cfg.threshold)?
                 }
@@ -521,9 +521,9 @@ mod tests {
             .unwrap();
         let engine_stats = engine.stats();
         assert_eq!(seq.links, mr.links);
-        // One fused MapReduce round per phase: combiner mappers + packed
-        // shuffle + select-fused reduce (the paper sketches the same phase
-        // as 4 rounds; the combiner collapses it to 1).
+        // One fused MapReduce round per phase: row-scoring mappers ship
+        // selection claims, per-column reducers finish the selection (the
+        // paper sketches the same phase as 4 rounds).
         assert_eq!(engine_stats.rounds, mr.phases.len());
         assert!(engine_stats.per_round.iter().all(|r| r.label == "witness-score"));
     }

@@ -38,13 +38,13 @@
 //! # The MapReduce round runs the same kernel
 //!
 //! [`mapreduce_fused_phase`] expresses one whole phase as a single
-//! [`snr_mapreduce::Engine::run`] round: map tasks score contiguous chunks
-//! of candidate rows through the phase's shared [`LinkCache`] and a
-//! task-local [`ScoreArena`] and emit one already-aggregated record per candidate
-//! *row* — a dense `u32` key plus the row's packed `(v, count)` entries at
-//! 8 bytes each. The shuffle range-partitions by `u`, so each reduce
-//! partition owns whole rows in ascending order and folds them straight
-//! into a [`SelectSink`].
+//! [`snr_mapreduce::Engine::run`] round, and a map task is exactly a
+//! shard-driver task: it scores a contiguous chunk of candidate rows
+//! through the phase's shared [`LinkCache`] into a [`SelectSink`] and ships
+//! the sink's [`SinkClaims`] — 12 bytes per claimed row and 13 per column
+//! best, not one entry per scored pair. The claims are split by copy-2
+//! node `v`, so each reduce partition owns a `v` range, absorbs its pieces
+//! into one sink and finishes the selection for those columns.
 
 use crate::linking::Linking;
 use crate::matching::Best;
@@ -707,15 +707,6 @@ impl SelectSink {
         }
     }
 
-    /// Reduce-side entry point: consumes one complete row of packed
-    /// `(v, count)` entries (see [`pack_entry`]), as shuffled by the
-    /// MapReduce witness round.
-    pub(crate) fn row_packed(&mut self, u: u32, entries: &[u64]) {
-        if !entries.is_empty() {
-            self.row_entries(u, entries.iter().map(|&e| unpack_entry(e)));
-        }
-    }
-
     /// Extracts this sink's accumulated state as a serializable
     /// [`SinkClaims`] — what a distributed worker ships back to the
     /// coordinator instead of the sink itself.
@@ -741,16 +732,19 @@ impl SelectSink {
     /// plain sum, and the per-`v` bests merge with the associative,
     /// commutative, tie-abstaining `Best::merge`.
     ///
-    /// Claims are validated before any state changes: a copy-2 id at or
-    /// beyond this sink's `n2`, a zero score, or a claim below this sink's
-    /// threshold is rejected (the sink is left untouched), so a corrupt or
-    /// mismatched payload can never poison the selection.
-    pub fn absorb_claims(&mut self, claims: &SinkClaims) -> Result<(), GraphError> {
+    /// Claims are validated before any state changes against `n1`, the
+    /// copy-1 node count, and this sink's `n2`: a claimed row `u` or a
+    /// column best's partner at or beyond `n1`, a copy-2 id at or beyond
+    /// `n2`, a zero score, or a claim below this sink's threshold is
+    /// rejected (the sink is left untouched), so a corrupt or mismatched
+    /// payload can never poison the selection.
+    pub fn absorb_claims(&mut self, claims: &SinkClaims, n1: usize) -> Result<(), GraphError> {
         let n2 = self.best_v.len() as u32;
-        for &(_, partner, score) in &claims.claims {
-            if partner >= n2 {
+        let n1 = u32::try_from(n1).unwrap_or(u32::MAX);
+        for &(u, partner, score) in &claims.claims {
+            if u >= n1 || partner >= n2 {
                 return Err(GraphError::InvalidParameter(format!(
-                    "sink claim partner {partner} out of range (n2 = {n2})"
+                    "sink claim ({u}, {partner}) out of range (n1 = {n1}, n2 = {n2})"
                 )));
             }
             if score < self.threshold {
@@ -761,9 +755,9 @@ impl SelectSink {
             }
         }
         for &(v, partner, score, _) in &claims.bests {
-            if v >= n2 || partner >= n2 {
+            if v >= n2 || partner >= n1 {
                 return Err(GraphError::InvalidParameter(format!(
-                    "per-v best ({v}, {partner}) out of range (n2 = {n2})"
+                    "per-v best ({v}, {partner}) out of range (n1 = {n1}, n2 = {n2})"
                 )));
             }
             if score == 0 {
@@ -805,7 +799,7 @@ impl SelectSink {
 /// [`SinkClaims::decode`] rejects truncated, oversized, or malformed bytes
 /// with [`GraphError::InvalidBinary`]; it never panics and never allocates
 /// more than the input length implies.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SinkClaims {
     scored_pairs: u64,
     /// Rows claimed by the worker: `(u, partner, score)`, unique by
@@ -841,16 +835,40 @@ impl SinkClaims {
         self.scored_pairs
     }
 
-    /// Number of claimed rows carried by this payload.
-    pub fn claim_count(&self) -> usize {
-        self.claims.len()
+    /// Length in bytes of [`SinkClaims::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        16 + CLAIM_WIDTH * self.claims.len() + BEST_WIDTH * self.bests.len()
+    }
+
+    /// Splits the claims into one piece per range of the copy-2 axis
+    /// (`range_partition(v, n2, parts)`): a claim goes with its partner
+    /// `v`, a column best with its `v`, and `scored_pairs` rides on the
+    /// first piece. Returns the non-empty pieces with their range index;
+    /// each piece holds everything a reducer needs to finish the
+    /// selection for its columns.
+    fn split_by_column(self, n2: usize, parts: usize) -> Vec<(u32, SinkClaims)> {
+        let mut pieces = vec![SinkClaims::default(); parts];
+        for claim in self.claims {
+            pieces[range_partition(claim.1, n2, parts)].claims.push(claim);
+        }
+        for best in self.bests {
+            pieces[range_partition(best.0, n2, parts)].bests.push(best);
+        }
+        let mut out: Vec<(u32, SinkClaims)> = (0..parts as u32)
+            .zip(pieces)
+            .filter(|(_, piece)| !piece.claims.is_empty() || !piece.bests.is_empty())
+            .collect();
+        // A scored pair always leaves a column best behind, so a sink with
+        // scored pairs yields at least one piece.
+        if let Some((_, first)) = out.first_mut() {
+            first.scored_pairs = self.scored_pairs;
+        }
+        out
     }
 
     /// Serializes the claims into the fixed-width wire format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            16 + CLAIM_WIDTH * self.claims.len() + BEST_WIDTH * self.bests.len(),
-        );
+        let mut out = Vec::with_capacity(self.encoded_len());
         out.extend_from_slice(&self.scored_pairs.to_le_bytes());
         out.extend_from_slice(&(self.claims.len() as u32).to_le_bytes());
         for &(u, partner, score) in &self.claims {
@@ -1145,6 +1163,23 @@ pub fn score_pair_list<G1: GraphView>(
     }
 }
 
+/// Scores the candidate rows `rows` through one task-local [`ScoreArena`]
+/// into `sink` — the loop of one rayon chunk and of one MapReduce map task.
+fn score_rows<G1: GraphView>(
+    g1: &G1,
+    cache: &LinkCache,
+    n2: usize,
+    rows: &[u32],
+    mut sink: SelectSink,
+) -> SelectSink {
+    let mut arena = ScoreArena::new(n2);
+    for &u in rows {
+        score_row(g1, cache, NodeId(u), &mut arena);
+        sink.row(u, &arena);
+    }
+    sink
+}
+
 /// Runs one exact phase over a caller-supplied candidate list (ascending
 /// copy-1 ids, already degree-eligible and unlinked — what
 /// [`CandidateCache::eligible`] returns) and [`LinkCache`] (with `n2`, the
@@ -1169,17 +1204,9 @@ where
     G1: GraphView + Sync,
     F: Fn() -> SelectSink + Sync,
 {
-    let score_rows = |rows: &[u32]| {
-        let mut arena = ScoreArena::new(n2);
-        let mut sink = make_sink();
-        for &u in rows {
-            score_row(g1, cache, NodeId(u), &mut arena);
-            sink.row(u, &arena);
-        }
-        sink
-    };
+    let score_chunk = |rows: &[u32]| score_rows(g1, cache, n2, rows, make_sink());
     if !parallel || candidates.len() < PARALLEL_CUTOFF {
-        score_rows(candidates)
+        score_chunk(candidates)
     } else {
         // Contiguous chunks of candidate rows, shard-aligned when `g1` is a
         // sharded view — chunked here rather than by the scheduler, so
@@ -1191,7 +1218,7 @@ where
         // regardless).
         let workers = rayon::current_num_threads().max(1);
         let chunks = chunk_candidates(g1, candidates, workers);
-        let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_rows(chunk)).collect();
+        let sinks: Vec<SelectSink> = chunks.par_iter().map(|chunk| score_chunk(chunk)).collect();
         let mut iter = sinks.into_iter();
         let mut acc = iter.next().expect("candidate set is non-empty in the parallel branch");
         for other in iter {
@@ -1229,72 +1256,28 @@ where
         .finish()
 }
 
-/// Packs a `(v, count)` score entry into one shuffle-friendly `u64`: the
-/// copy-2 node id in the high half, the witness count in the low half, so
-/// packed entries order by `v` first.
-#[inline]
-pub fn pack_entry(v: u32, count: u32) -> u64 {
-    ((v as u64) << 32) | count as u64
-}
-
-/// Inverse of [`pack_entry`].
-#[inline]
-pub fn unpack_entry(packed: u64) -> (u32, u32) {
-    ((packed >> 32) as u32, packed as u32)
-}
-
-/// Shuffle payload size of one packed-row record: a dense `u32` key plus
-/// 8 bytes per scored pair.
-pub(crate) fn packed_row_bytes(row: &[u64]) -> usize {
-    4 + 8 * row.len()
-}
-
-/// Mapper kernel of the MapReduce witness round: scores a contiguous chunk
-/// of candidate copy-1 rows through the phase's shared [`LinkCache`] and a
-/// task-local [`ScoreArena`] (in a real cluster the cache is the map-side
-/// join against the broadcast link set) and emits one already-aggregated
-/// `(u, packed (v, count) row)` record per non-empty candidate row.
-fn score_chunk_to_rows<G1: GraphView>(
-    g1: &G1,
-    cache: &LinkCache,
-    n2: usize,
-    chunk: &[u32],
-) -> Vec<(u32, Vec<u64>)> {
-    let mut arena = ScoreArena::new(n2);
-    let mut out = Vec::new();
-    for &u in chunk {
-        score_row(g1, cache, NodeId(u), &mut arena);
-        let touched = arena.touched();
-        if !touched.is_empty() {
-            let row: Vec<u64> = touched.iter().map(|&v| pack_entry(v, arena.get(v))).collect();
-            out.push((u, row));
-        }
-    }
-    out
-}
-
 /// One phase of User-Matching as a single MapReduce round on the arena
-/// engine: row-scoring mappers, packed shuffle, fused select reduce.
+/// engine. A map task is exactly a shard-driver task, and the reduce is the
+/// coordinator's claim merge, split by column.
 ///
 /// * **Map** — each task scores a contiguous chunk of candidate copy-1 rows
-///   via `score_chunk_to_rows`, emitting one pre-aggregated record per
-///   candidate row: a dense `u32` key and the row's packed `(v, count)`
-///   entries.
-/// * **Shuffle** — records are range-partitioned by `u`
-///   ([`range_partition`]), so a reduce partition owns a contiguous row
-///   range in ascending order.
-/// * **Reduce** — each partition folds its rows straight into a
-///   [`SelectSink`]; the per-partition sinks merge exactly like the rayon
-///   backend's per-worker sinks (`Best::merge` is associative and
-///   tie-abstention-preserving), so no global score table is ever built.
+///   into a [`SelectSink`] and ships its [`SinkClaims`], split into one
+///   piece per reduce partition: claims by partner `v`, column bests by
+///   `v` ([`range_partition`] over `0..n2`). The shuffle key is the
+///   partition index, and a piece costs 12 bytes per claimed row and 13
+///   per column best — bounded by node counts, not by scored pairs.
+/// * **Reduce** — each partition absorbs its pieces into one
+///   [`SelectSink`] and finishes it. A partition holds every claim on its
+///   columns and every task's best for them, so its finished pairs are
+///   exactly the global selection restricted to its `v` range.
 ///
 /// Returns `(scored_pairs, selected_pairs)`, bit-for-bit identical to
 /// [`fused_phase`] and therefore to
-/// `mutual_best_pairs(&count_sequential(..), threshold)`. Where the paper
+/// `mutual_best_pairs(&count_sequential(..), threshold)`. The paper
 /// sketches this phase as 4 MapReduce rounds (score, best-per-`u`,
-/// best-per-`v`, join), row aggregation in the mappers and range
-/// partitioning collapse it into one round per phase — `O(k log D)` rounds
-/// total.
+/// best-per-`v`, join); scoring whole rows in the mappers and joining per
+/// column in the reducers collapse it into one round per phase —
+/// `O(k log D)` rounds total.
 ///
 /// # Errors
 ///
@@ -1347,8 +1330,8 @@ where
 ///
 /// The round runs through [`Engine::run`]: when the engine carries a
 /// memory budget the shuffle spills to checksummed run files
-/// (`PackedRowCodec`), and any spill I/O or corruption failure surfaces
-/// as a clean [`EngineError`].
+/// (`ClaimsCodec`, the [`SinkClaims`] wire format), and any spill I/O or
+/// corruption failure surfaces as a clean [`EngineError`].
 pub fn mapreduce_phase_cached<G1>(
     engine: &Engine,
     g1: &G1,
@@ -1362,80 +1345,64 @@ where
 {
     let n1 = g1.node_count();
     let parts = engine.workers();
-    let sinks: Vec<SelectSink> = engine.run(
+    let partitions = engine.run(
         "witness-score",
         candidates,
-        // Map tasks take disjoint slices of the candidate list and emit
-        // each row at most once, so every key group holds exactly one
-        // fragment.
-        |chunk: &[u32]| score_chunk_to_rows(g1, cache, n2, chunk),
-        move |&u: &u32| range_partition(u, n1, parts),
-        |_, row: &Vec<u64>| packed_row_bytes(row),
-        |_, groups: Vec<(u32, Vec<Vec<u64>>)>| {
-            let mut sink = SelectSink::new(n2, threshold);
-            for (u, fragments) in groups {
-                let [row]: [Vec<u64>; 1] =
-                    fragments.try_into().expect("one fragment per candidate row");
-                sink.row_packed(u, &row);
-            }
-            sink
+        |chunk: &[u32]| {
+            let sink = score_rows(g1, cache, n2, chunk, SelectSink::new(n2, threshold));
+            sink.into_claims().split_by_column(n2, parts)
         },
-        &PackedRowCodec,
+        |&p: &u32| p as usize,
+        |_, piece: &SinkClaims| piece.encoded_len(),
+        |_, groups: Vec<(u32, Vec<SinkClaims>)>| {
+            let mut sink = SelectSink::new(n2, threshold);
+            for piece in groups.iter().flat_map(|(_, pieces)| pieces) {
+                // Pieces come from this round's own sinks (spilled ones
+                // past a checksum), so they are always in range.
+                sink.absorb_claims(piece, n1).expect("map tasks ship in-range claims");
+            }
+            sink.finish()
+        },
+        &ClaimsCodec,
     )?;
-    let mut iter = sinks.into_iter();
-    let mut acc = iter.next().unwrap_or_else(|| SelectSink::new(n2, threshold));
-    for sink in iter {
-        acc.merge(sink);
+    let (mut scored_pairs, mut pairs) = (0, Vec::new());
+    for (scored, selected) in partitions {
+        scored_pairs += scored;
+        pairs.extend(selected);
     }
-    Ok(acc.finish())
+    pairs.sort_unstable();
+    Ok((scored_pairs, pairs))
 }
 
-/// Spill codec for the packed-row shuffle protocol: a group is its dense
-/// `u32` key, a fragment count, and each fragment as a `u32` length plus
-/// that many packed `(v, count)` `u64` entries ([`pack_entry`]) — exactly
-/// the in-memory `(u32, Vec<Vec<u64>>)` shape, so a round that spills to
-/// disk reduces bit-identically to one that never did.
-pub(crate) struct PackedRowCodec;
+/// Spill codec of the MapReduce witness round: a group is its partition
+/// key, a piece count, and each piece as a `u32` length plus its
+/// [`SinkClaims::encode`] bytes — the one claims wire format, so a round
+/// that spills to disk reduces bit-identically to one that never did.
+struct ClaimsCodec;
 
-impl SpillCodec<u32, Vec<u64>> for PackedRowCodec {
-    fn encode_group(&self, key: &u32, values: &[Vec<u64>], out: &mut Vec<u8>) {
+impl SpillCodec<u32, SinkClaims> for ClaimsCodec {
+    fn encode_group(&self, key: &u32, values: &[SinkClaims], out: &mut Vec<u8>) {
         out.extend_from_slice(&key.to_le_bytes());
         out.extend_from_slice(&(values.len() as u32).to_le_bytes());
-        for fragment in values {
-            out.extend_from_slice(&(fragment.len() as u32).to_le_bytes());
-            for &entry in fragment {
-                out.extend_from_slice(&entry.to_le_bytes());
-            }
+        for piece in values {
+            out.extend_from_slice(&(piece.encoded_len() as u32).to_le_bytes());
+            out.extend_from_slice(&piece.encode());
         }
     }
 
-    fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<Vec<u64>>), String> {
-        let take4 = |at: usize| -> Result<u32, String> {
-            bytes
-                .get(at..at + 4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4-byte slice")))
-                .ok_or_else(|| format!("packed-row group truncated at byte {at}"))
-        };
-        let key = take4(0)?;
-        let fragments = take4(4)? as usize;
-        let mut at = 8;
-        let mut values = Vec::with_capacity(fragments);
-        for _ in 0..fragments {
-            let len = take4(at)? as usize;
-            at += 4;
-            let end = at + 8 * len;
-            let body = bytes
-                .get(at..end)
-                .ok_or_else(|| format!("packed-row fragment truncated at byte {at}"))?;
-            values.push(
-                body.chunks_exact(8)
-                    .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                    .collect(),
-            );
-            at = end;
+    fn decode_group(&self, bytes: &[u8]) -> Result<(u32, Vec<SinkClaims>), String> {
+        let mut pos = 0usize;
+        let word = |pos: &mut usize| claims_u32(bytes, pos).map_err(|e| e.to_string());
+        let key = word(&mut pos)?;
+        let count = word(&mut pos)?;
+        let mut values = Vec::new();
+        for _ in 0..count {
+            let len = word(&mut pos)? as usize;
+            let body = claims_take(bytes, &mut pos, len).map_err(|e| e.to_string())?;
+            values.push(SinkClaims::decode(body).map_err(|e| e.to_string())?);
         }
-        if at != bytes.len() {
-            return Err(format!("packed-row group has {} trailing bytes", bytes.len() - at));
+        if pos != bytes.len() {
+            return Err(format!("claims group has {} trailing bytes", bytes.len() - pos));
         }
         Ok((key, values))
     }
@@ -1723,13 +1690,57 @@ mod tests {
         assert!(pairs.is_empty());
     }
 
+    /// The claims of every row of one phase, split the way a map task
+    /// ships them to `parts` reduce partitions.
+    fn shipped_pieces(parts: usize) -> Vec<(u32, SinkClaims)> {
+        let (g1, g2, links) = pa_workload(47, 300, 5);
+        let cache = LinkCache::build(&g2, &links, 2);
+        let n2 = g2.node_count();
+        let rows = collect_candidates(&g1, &links, 2);
+        let sink = score_rows(&g1, &cache, n2, &rows, SelectSink::new(n2, 2));
+        sink.into_claims().split_by_column(n2, parts)
+    }
+
     #[test]
-    fn packed_entries_roundtrip_and_sort_by_target() {
-        assert_eq!(unpack_entry(pack_entry(7, 3)), (7, 3));
-        assert_eq!(unpack_entry(pack_entry(u32::MAX, u32::MAX)), (u32::MAX, u32::MAX));
-        let mut packed = [pack_entry(9, 1), pack_entry(2, 40), pack_entry(9, 2)];
-        packed.sort_unstable();
-        assert_eq!(packed.iter().map(|&e| unpack_entry(e).0).collect::<Vec<_>>(), [2, 9, 9]);
+    fn split_claims_carry_scored_pairs_once_and_partition_by_column() {
+        let (g1, g2, links) = pa_workload(47, 300, 5);
+        let n2 = g2.node_count();
+        let whole = fused_phase(&g1, &g2, &links, 2, 2, 2, false);
+        let pieces = shipped_pieces(3);
+        assert!(pieces.len() > 1, "the workload must spread over partitions");
+        assert_eq!(pieces.iter().map(|(_, c)| c.scored_pairs()).sum::<u64>(), whole.0 as u64);
+        assert_eq!(pieces.iter().filter(|(_, c)| c.scored_pairs() > 0).count(), 1);
+        let mut pairs = Vec::new();
+        for (p, piece) in &pieces {
+            assert!(piece.claims.iter().all(|c| range_partition(c.1, n2, 3) == *p as usize));
+            assert!(piece.bests.iter().all(|b| range_partition(b.0, n2, 3) == *p as usize));
+            let mut sink = SelectSink::new(n2, 2);
+            sink.absorb_claims(piece, g1.node_count()).unwrap();
+            pairs.extend(sink.finish().1);
+        }
+        pairs.sort_unstable();
+        assert_eq!(pairs, whole.1, "per-column reducers join to the whole selection");
+    }
+
+    #[test]
+    fn claims_codec_roundtrips_and_rejects_every_truncation() {
+        let pieces: Vec<SinkClaims> = shipped_pieces(2).into_iter().map(|(_, c)| c).collect();
+        assert!(pieces.iter().any(|c| !c.claims.is_empty()));
+        for values in [&pieces[..], &pieces[..1], &[]] {
+            let mut bytes = Vec::new();
+            ClaimsCodec.encode_group(&7, values, &mut bytes);
+            assert_eq!(ClaimsCodec.decode_group(&bytes).unwrap(), (7, values.to_vec()));
+            for cut in 0..bytes.len() {
+                assert!(ClaimsCodec.decode_group(&bytes[..cut]).is_err(), "cut at {cut} accepted");
+            }
+            bytes.push(0);
+            assert!(ClaimsCodec.decode_group(&bytes).is_err(), "trailing byte accepted");
+        }
+        // A piece length that overruns the group fails without allocating.
+        let mut bytes = Vec::new();
+        ClaimsCodec.encode_group(&0, &pieces[..1], &mut bytes);
+        bytes[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(ClaimsCodec.decode_group(&bytes).is_err());
     }
 
     #[test]
@@ -1793,7 +1804,7 @@ mod tests {
                 let mut sink = SelectSink::new(n2, t);
                 score_assigned_rows(&g1, start..end, &cache, &links, d, &mut arena, &mut sink);
                 let decoded = SinkClaims::decode(&sink.into_claims().encode()).unwrap();
-                acc.absorb_claims(&decoded).unwrap();
+                acc.absorb_claims(&decoded, n1 as usize).unwrap();
             }
             assert_eq!(acc.finish(), expected, "d={d} t={t}");
         }
@@ -1822,7 +1833,7 @@ mod tests {
         let n1 = g1.node_count() as u32;
         score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         let claims = sink.into_claims();
-        assert!(claims.claim_count() > 0, "workload must produce claims");
+        assert!(!claims.claims.is_empty(), "workload must produce claims");
         let bytes = claims.encode();
         assert_eq!(SinkClaims::decode(&bytes).unwrap(), claims);
 
@@ -1855,18 +1866,59 @@ mod tests {
         let n1 = g1.node_count() as u32;
         score_assigned_rows(&g1, 0..n1, &cache, &links, 2, &mut arena, &mut sink);
         let claims = sink.into_claims();
-        assert!(claims.claim_count() > 0);
+        assert!(!claims.claims.is_empty());
 
-        // A smaller sink rejects ids beyond its v-axis.
+        // A smaller sink rejects ids beyond its v-axis, and a smaller n1
+        // rejects copy-1 ids beyond it.
         let mut small = SelectSink::new(1, 2);
-        assert!(small.absorb_claims(&claims).is_err());
+        assert!(small.absorb_claims(&claims, n1 as usize).is_err());
+        let mut short_g1 = SelectSink::new(n2, 2);
+        assert!(short_g1.absorb_claims(&claims, 1).is_err());
         // A stricter sink rejects claims below its threshold.
         let mut strict = SelectSink::new(n2, u32::MAX);
-        assert!(strict.absorb_claims(&claims).is_err());
+        assert!(strict.absorb_claims(&claims, n1 as usize).is_err());
         // The matching sink accepts them.
         let mut ok = SelectSink::new(n2, 2);
-        ok.absorb_claims(&claims).unwrap();
+        ok.absorb_claims(&claims, n1 as usize).unwrap();
         assert_eq!(ok.finish(), fused_phase(&g1, &g2, &links, 2, 2, 2, false));
+    }
+
+    #[test]
+    fn claims_of_a_larger_g1_are_absorbed_and_reduced_exactly() {
+        // g1 has twice g2's nodes: copy-1 ids 6..12 appear as claimed rows
+        // and as column-best partners, both beyond n2.
+        let g2 = CsrGraph::from_edges(6, &[(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (5, 2)]);
+        let g1 = CsrGraph::from_edges(
+            12,
+            &[(10, 0), (10, 1), (10, 2), (11, 0), (11, 1), (9, 2), (6, 7), (7, 8)],
+        );
+        let seeds = [(NodeId(0), NodeId(0)), (NodeId(1), NodeId(1)), (NodeId(2), NodeId(2))];
+        let links = Linking::with_seeds(12, 6, &seeds);
+        let expected = fused_phase(&g1, &g2, &links, 1, 1, 1, false);
+        assert!(expected.1.contains(&(NodeId(10), NodeId(3))), "{expected:?}");
+        let cache = LinkCache::build(&g2, &links, 1);
+        let (mut arena, mut acc) = (ScoreArena::new(6), SelectSink::new(6, 1));
+        for start in [0u32, 8] {
+            let mut sink = SelectSink::new(6, 1);
+            score_assigned_rows(
+                &g1,
+                start..(start + 8).min(12),
+                &cache,
+                &links,
+                1,
+                &mut arena,
+                &mut sink,
+            );
+            acc.absorb_claims(&sink.into_claims(), 12).unwrap();
+        }
+        assert_eq!(acc.finish(), expected);
+        for workers in [1usize, 2, 3] {
+            let engine = snr_mapreduce::Engine::new(workers).with_chunk_size(2);
+            assert_eq!(
+                mapreduce_fused_phase(&engine, &g1, &g2, &links, 1, 1, 1).unwrap(),
+                expected
+            );
+        }
     }
 
     #[test]

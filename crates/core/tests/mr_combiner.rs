@@ -1,11 +1,11 @@
-//! Property tests for the row-aggregated MapReduce scoring path: on random
-//! PA/ER graph pairs, across thresholds and graph representations (CSR,
-//! compact, and mmap-backed segments), the select-fused round
-//! `mapreduce_fused_phase` — row-scoring mappers + packed shuffle + select
-//! reduce — must reproduce the brute-force oracle `count_brute_force` →
-//! `mutual_best_pairs` bit-for-bit, while the engine's shuffle statistics
-//! confirm the round really did move one record per candidate row and
-//! 8 bytes per scored pair.
+//! Property tests for the MapReduce scoring path: on random PA/ER graph
+//! pairs, across thresholds and graph representations (CSR, compact, and
+//! mmap-backed segments), the select-fused round `mapreduce_fused_phase` —
+//! row-scoring mappers that ship selection claims split by column, and
+//! reducers that finish the selection per column range — must reproduce
+//! the brute-force oracle `count_brute_force` → `mutual_best_pairs`
+//! bit-for-bit, while the engine's shuffle statistics confirm the round
+//! moved exactly the claims pieces, far fewer bytes than the scored rows.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -14,11 +14,13 @@ use snr_core::scoring::mapreduce_fused_phase;
 use snr_core::witness::count_brute_force;
 use snr_core::Linking;
 use snr_generators::{gnp, preferential_attachment};
-use snr_graph::{CsrGraph, GraphView};
+use snr_graph::{CsrGraph, GraphView, NodeId};
+use snr_mapreduce::partition::range_partition;
 use snr_mapreduce::Engine;
 use snr_sampling::independent::independent_deletion_symmetric;
 use snr_sampling::sample_seeds;
 use snr_store::{write_segment_file, MmapGraph};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -139,40 +141,64 @@ fn mapreduce_rounds_match_oracle_across_workloads_thresholds_and_representations
 }
 
 #[test]
-fn witness_round_shuffles_one_packed_record_per_candidate_row() {
+fn witness_round_ships_one_claims_piece_per_task_and_partition() {
     let (g1, g2, links) = workload(true, 300, 3, 42);
-    let engine = Engine::new(3).with_chunk_size(32);
+    let (chunk, parts, threshold) = (32usize, 3usize, 2u32);
+    let engine = Engine::new(parts).with_chunk_size(chunk);
     let oracle = count_brute_force(&g1, &g2, &links, 1, 1);
-    let (scored, pairs) = mapreduce_fused_phase(&engine, &g1, &g2, &links, 1, 1, 2).unwrap();
+    let (scored, pairs) =
+        mapreduce_fused_phase(&engine, &g1, &g2, &links, 1, 1, threshold).unwrap();
     assert_eq!(scored, oracle.len());
-    assert_eq!(pairs, mutual_best_pairs(&oracle, 2));
+    assert_eq!(pairs, mutual_best_pairs(&oracle, threshold));
     let round = engine.stats().per_round[0].clone();
     assert_eq!(round.label, "witness-score");
-    let rows: std::collections::HashSet<u32> = oracle.keys().map(|&(u, _)| u).collect();
+
+    // Recompute the shipment from the oracle table: a map task scores a
+    // chunk of candidate rows and ships, to every partition its columns
+    // hit, one piece of 16 header bytes, 12 bytes per claimed row (unique
+    // row best at or above the threshold) and 13 per column best.
+    let (n1, n2) = (g1.node_count(), g2.node_count());
+    let candidates: Vec<u32> = (0..n1 as u32)
+        .filter(|&u| g1.degree(NodeId(u)) >= 1 && !links.is_linked_g1(NodeId(u)))
+        .collect();
+    let mut rows: BTreeMap<u32, Vec<(u32, u32)>> = BTreeMap::new();
+    for (&(u, v), &count) in &oracle {
+        rows.entry(u).or_default().push((v, count));
+    }
+    let (mut pieces, mut bytes) = (0usize, 0usize);
+    for task in candidates.chunks(chunk) {
+        let (mut columns, mut claims) = (BTreeSet::new(), 0usize);
+        for row in task.iter().filter_map(|u| rows.get(u)) {
+            columns.extend(row.iter().map(|&(v, _)| v));
+            let best = row.iter().map(|&(_, c)| c).max().unwrap();
+            claims += usize::from(
+                best >= threshold && row.iter().filter(|&&(_, c)| c == best).count() == 1,
+            );
+        }
+        let hit: BTreeSet<usize> = columns.iter().map(|&v| range_partition(v, n2, parts)).collect();
+        pieces += hit.len();
+        bytes += 16 * hit.len() + 12 * claims + 13 * columns.len();
+    }
+    assert_eq!(round.map_tasks, candidates.len().div_ceil(chunk));
     assert_eq!(
-        round.shuffled_records,
-        rows.len(),
-        "the packed shuffle must carry exactly one record per non-empty candidate row"
+        (round.shuffled_records, round.shuffled_bytes),
+        (pieces, bytes),
+        "the shuffle must be the shipped claims pieces at their encoded size"
     );
-    assert_eq!(
-        round.map_output_records, round.shuffled_records,
-        "mappers emit whole rows once each, so every key group is a single fragment"
-    );
-    assert_eq!(
-        round.shuffled_bytes,
-        4 * rows.len() + 8 * oracle.len(),
-        "u32 key per row + 8 packed bytes per scored pair"
-    );
-    // A round that shuffled one 12-byte ((u, v), 1) record per witness
-    // contribution would move the witness-weighted table sum.
-    let contributions: usize = oracle.values().map(|&c| c as usize).sum();
+    assert_eq!(round.map_output_records, round.shuffled_records);
+    assert!(round.key_groups <= parts, "the shuffle key is the partition index");
+    // Bounded by node counts, and below shipping every scored row as packed
+    // (v, count) entries: a u32 key per row plus 8 bytes per scored pair.
+    // (At 300 nodes and 32-row tasks each task's column bests cost about
+    // as much as its rows; the 10x gate runs at R-MAT scale in
+    // `mr_shuffle_smoke`.)
+    assert!(round.shuffled_bytes <= round.map_tasks * (16 * parts + 13 * n2) + 12 * n1);
+    let packed = 4 * rows.len() + 8 * oracle.len();
     assert!(
-        round.shuffled_records * 5 < contributions,
-        "row-aggregated shuffle {} must be far below the per-contribution formula {}",
-        round.shuffled_records,
-        contributions
+        round.shuffled_bytes < packed,
+        "claims shuffle {} must be below the packed-row formula {packed}",
+        round.shuffled_bytes
     );
-    assert!(round.shuffled_bytes < contributions * 12, "bytes must shrink too");
 }
 
 #[test]
@@ -182,10 +208,12 @@ fn spilling_witness_round_links_are_bit_identical_to_in_memory() {
     // merges them back. Links, scored-pair count, and the non-spill shuffle
     // statistics must be exactly what the in-memory round produces.
     let (g1, g2, links) = workload(true, 260, 3, 0xD15C);
-    let in_memory = Engine::new(1).with_chunk_size(16);
-    let expected = mapreduce_fused_phase(&in_memory, &g1, &g2, &links, 2, 2, 2).unwrap();
     let scratch = std::env::temp_dir().join(format!("snr-core-spill-{}", std::process::id()));
     for (workers, budget) in [(1usize, 0u64), (1, 512), (3, 0), (3, 2048)] {
+        // The partition count (= workers) shapes the shipped pieces, so the
+        // reference is an in-memory engine with the same worker count.
+        let in_memory = Engine::new(workers).with_chunk_size(16);
+        let expected = mapreduce_fused_phase(&in_memory, &g1, &g2, &links, 2, 2, 2).unwrap();
         let engine = Engine::new(workers)
             .with_chunk_size(16)
             .with_spill_budget(Some(budget))

@@ -643,7 +643,7 @@ impl ShardDriver {
                                 let _mspan =
                                     snr_telemetry::span!("merge", first = first_node, worker = w);
                                 SinkClaims::decode(&claims)
-                                    .and_then(|decoded| sink.absorb_claims(&decoded))
+                                    .and_then(|decoded| sink.absorb_claims(&decoded, self.n1))
                             };
                             match merged {
                                 Ok(()) => {
@@ -777,7 +777,7 @@ impl ShardDriver {
             if done[task] {
                 continue;
             }
-            sink.absorb_claims(&scorer.score(params, links, first_node, node_count))?;
+            sink.absorb_claims(&scorer.score(params, links, first_node, node_count), self.n1)?;
             done[task] = true;
             *done_count += 1;
             scored += 1;

@@ -6,7 +6,7 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use snr_core::{MatchingConfig, UserMatching};
+use snr_core::{Backend, MatchingConfig, UserMatching};
 use snr_driver::{run_distributed, DriverConfig, DriverStore};
 use snr_generators::{gnp, preferential_attachment, rmat, RmatConfig};
 use snr_graph::{CsrGraph, NodeId};
@@ -164,5 +164,35 @@ fn driver_matches_sequential_when_the_bucket_degree_overflows_u32() {
     for (d, r) in distributed.phases.iter().zip(&reference.phases) {
         assert_eq!((d.scored_pairs, d.new_links), (0, 0), "driver scored an ineligible row");
         assert_eq!((r.scored_pairs, r.new_links), (0, 0));
+    }
+}
+
+#[test]
+fn uneven_pair_with_a_larger_g1_matches_sequential_and_mapreduce() {
+    // g1 has twice g2's nodes, so copy-1 ids 6..12 reach the coordinator
+    // as claimed rows and as column-best partners beyond n2.
+    let g2 = CsrGraph::from_edges(6, &[(3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (5, 2)]);
+    let g1 = CsrGraph::from_edges(
+        12,
+        &[(10, 0), (10, 1), (10, 2), (11, 0), (11, 1), (9, 2), (6, 7), (7, 8)],
+    );
+    let seeds: Vec<(NodeId, NodeId)> = (0..3).map(|i| (NodeId(i), NodeId(i))).collect();
+    let matching = MatchingConfig::default().with_threshold(1).with_iterations(1);
+    let reference = UserMatching::new(matching.clone()).run(&g1, &g2, &seeds);
+    assert_eq!(reference.links.linked_in_g2(NodeId(10)), Some(NodeId(3)), "10 -> 3 is linked");
+    let mapreduce =
+        UserMatching::new(matching.clone().with_backend(Backend::MapReduce { workers: 2 }))
+            .run(&g1, &g2, &seeds);
+    assert_eq!(mapreduce.links, reference.links, "MapReduce links differ on the uneven pair");
+    for store in [DriverStore::Mmap, DriverStore::Sharded(3)] {
+        let distributed =
+            run_distributed(&g1, &g2, &seeds, driver_config(2, store, matching.clone()))
+                .unwrap_or_else(|e| {
+                    panic!("driver run failed on the uneven pair ({store:?}): {e}")
+                });
+        assert_eq!(distributed.links, reference.links, "driver links differ ({store:?})");
+        for (d, r) in distributed.phases.iter().zip(&reference.phases) {
+            assert_eq!((d.scored_pairs, d.new_links), (r.scored_pairs, r.new_links));
+        }
     }
 }

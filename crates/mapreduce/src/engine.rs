@@ -125,9 +125,9 @@ impl Engine {
     ///   sorted key interval.
     /// * `bytes_of` reports the payload size of one shuffled record, so
     ///   [`RoundStats::shuffled_bytes`] stays honest for variable-length
-    ///   values (a packed score *row* is `4 + 8·entries` bytes, which
-    ///   `size_of` cannot see through a `Vec` header). The spill budget is
-    ///   charged in these bytes.
+    ///   values (the witness round's selection claims are their encoded
+    ///   length, which `size_of` cannot see through a `Vec` header). The
+    ///   spill budget is charged in these bytes.
     /// * `reduce` is called once per partition with *all* of that
     ///   partition's key groups in ascending key order — values within a
     ///   key in map-task order — and folds them into a single output value,

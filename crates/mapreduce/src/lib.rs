@@ -4,10 +4,10 @@
 //! algorithm of Korula & Lattanzi in the shape the paper claims for it:
 //! *"the internal for loop can be implemented efficiently with 4
 //! consecutive rounds of MapReduce, so the total running time would consist
-//! of `O(k log D)` MapReductions."* (With combiner mappers — mappers that
-//! aggregate before they emit — `snr-core` actually does each internal loop
-//! in **one** round: the same `O(k log D)` bound, 4× fewer rounds than the
-//! paper's sketch.)
+//! of `O(k log D)` MapReductions."* (With mappers that score whole rows and
+//! ship only their selection claims, `snr-core` actually does each internal
+//! loop in **one** round: the same `O(k log D)` bound, 4× fewer rounds than
+//! the paper's sketch.)
 //!
 //! The engine is deliberately faithful to the programming model rather than
 //! to any particular distributed runtime. It runs one round shape,
@@ -17,8 +17,8 @@
 //! worker, and the reduce side folds each partition's sorted key groups
 //! into one output value — per-partition state without a global
 //! materialization. This is what lets the witness rounds of `snr-core`
-//! shuffle one packed record per candidate *row* instead of one per
-//! *witness contribution*. Above a memory budget
+//! shuffle each map task's selection claims — bounded by node counts —
+//! instead of one record per *witness contribution*. Above a memory budget
 //! ([`Engine::with_spill_budget`]) the shuffle spills to checksummed run
 //! files through a [`SpillCodec`]; output is bit-identical at every budget.
 //!

@@ -76,8 +76,8 @@ impl std::error::Error for EngineError {}
 ///
 /// The engine itself places no serialization bound on keys or values, so
 /// callers of [`crate::Engine::run`] supply a codec for their concrete
-/// types (e.g. the packed score-row codec in `snr-core`). It is only
-/// invoked when the round spills.
+/// types (e.g. `snr-core`'s witness round wraps its selection-claims wire
+/// format). It is only invoked when the round spills.
 ///
 /// The contract is exact round-tripping: `decode_group(encode_group(k, vs))`
 /// must reproduce `(k, vs)` bit-identically, because the spilled and

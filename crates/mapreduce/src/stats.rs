@@ -4,9 +4,9 @@
 //! needs `O(k log D)` MapReduce rounds. The engine keeps enough bookkeeping
 //! to verify that claim on real runs — and the *data-movement* claim too:
 //! shuffle volume is tracked in records ([`RoundStats::shuffled_records`])
-//! and bytes ([`RoundStats::shuffled_bytes`]), so the shuffle shrinkage the
-//! combiner mappers (mappers that aggregate before they emit) buy is
-//! measured, not assumed.
+//! and bytes ([`RoundStats::shuffled_bytes`]), so the shuffle shrinkage
+//! that mappers which aggregate before they emit buy is measured, not
+//! assumed.
 
 use serde::{Deserialize, Serialize};
 use std::time::Duration;

@@ -7,12 +7,12 @@
 //! The paper's efficiency claim is about *round complexity*: it sketches
 //! each phase of the algorithm as 4 MapReduce rounds, so a full run is
 //! `O(k log D)` rounds. This reproduction's engine collapses each phase to
-//! a *single* round (combiner mappers aggregate each candidate row on a
-//! task-local arena before emitting it, the packed shuffle is
-//! range-partitioned by candidate row, and mutual-best selection is fused
-//! into the reduce), keeping the same `O(k log D)` bound with a 4x smaller
-//! constant and a shuffle volume of one record per candidate row (8 bytes
-//! per scored pair) instead of one per witness contribution.
+//! a *single* round (each mapper scores whole candidate rows into a
+//! selection sink and ships only its claims — row bests and column bests —
+//! split by column, and each reducer finishes the mutual-best selection for
+//! its column range), keeping the same `O(k log D)` bound with a 4x smaller
+//! constant and a shuffle bounded by node counts instead of one record per
+//! witness contribution.
 //! This example runs the algorithm on the bundled in-memory MapReduce
 //! engine and prints the actual rounds executed, the records and bytes
 //! shuffled per round, and the phase structure, so the claims can be
@@ -60,18 +60,15 @@ fn main() {
     println!("\nMapReduce execution:");
     println!("  phases: {}", outcome.phases.len());
     println!(
-        "  rounds: {} (= 1 fused round per phase: combiner mappers score candidate rows, \
-         the packed shuffle range-partitions by row, the reduce selects mutual bests)",
+        "  rounds: {} (= 1 fused round per phase: mappers score candidate rows and ship \
+         selection claims split by column, the reduce selects mutual bests per column)",
         engine_stats.rounds
     );
     println!("  {}", engine_stats.stats_summary());
-    let heaviest = engine_stats
-        .per_round
-        .iter()
-        .max_by_key(|r| r.shuffled_records)
-        .expect("at least one round");
+    let heaviest =
+        engine_stats.per_round.iter().max_by_key(|r| r.shuffled_bytes).expect("at least one round");
     println!(
-        "  heaviest round: {:?} with {} shuffled row records ({} bytes) across {} reduce tasks",
+        "  heaviest round: {:?} with {} shuffled claims pieces ({} bytes) across {} reduce tasks",
         heaviest.label, heaviest.shuffled_records, heaviest.shuffled_bytes, heaviest.reduce_tasks
     );
 

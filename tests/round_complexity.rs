@@ -1,11 +1,11 @@
 //! Empirical check of the paper's round-complexity claim: User-Matching runs
 //! in `O(k log D)` MapReduce rounds. The paper sketches four rounds per
-//! (iteration, degree-bucket) phase; this engine's combiner mappers +
-//! range-partitioned packed shuffle + select-fused reduce collapse each
-//! phase to exactly one round — same bound, 4x smaller constant — and the
-//! per-round statistics let us verify the data-movement claim too: the
-//! shuffle carries one record per candidate *row* — at most one per scored
-//! pair, never one per *witness contribution*.
+//! (iteration, degree-bucket) phase; this engine's row-scoring mappers,
+//! which ship selection claims split by column, and per-column select
+//! reducers collapse each phase to exactly one round — same bound, 4x
+//! smaller constant — and the per-round statistics let us verify the
+//! data-movement claim too: the shuffle is bounded by node counts, never by
+//! scored pairs or witness contributions.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -58,30 +58,40 @@ fn mapreduce_rounds_are_one_fused_round_per_phase() {
     assert_eq!(stats.rounds, outcome.phases.len());
     assert_eq!(stats.per_round.len(), stats.rounds);
     assert!(stats.per_round.iter().all(|r| r.label == "witness-score"));
-    // The shuffle carries one packed-row record per non-empty candidate
-    // row — never one record per scored pair, let alone one per witness
-    // contribution — and its bytes are exactly one u32 key per row plus 8
-    // packed bytes per scored pair.
+    // Each map task ships its selection claims split into one piece per
+    // reduce partition: 16 header bytes per piece, 12 per claimed row and
+    // 13 per column best. That is bounded by node counts, not edges, and
+    // sits far below shipping every scored row as packed (v, count)
+    // entries (a u32 key per row plus 8 bytes per scored pair).
+    let (n1, n2) = (pair.g1.node_count(), pair.g2.node_count());
     assert!(stats.total_shuffled_records > 0);
     for (round, phase) in stats.per_round.iter().zip(&outcome.phases) {
-        assert!(
-            round.shuffled_records <= phase.scored_pairs,
-            "round {:?}: rows ({}) cannot exceed scored pairs ({})",
-            round.label,
-            round.shuffled_records,
-            phase.scored_pairs
-        );
-        assert_eq!(
-            round.shuffled_bytes,
-            4 * round.shuffled_records + 8 * phase.scored_pairs,
-            "round {:?} byte accounting",
-            round.label
-        );
         assert_eq!(
             round.map_output_records, round.shuffled_records,
             "the engine has no combine stage: every mapped record is shuffled"
         );
+        assert!(round.key_groups <= round.reduce_tasks, "the shuffle key is the partition");
+        if phase.scored_pairs == 0 {
+            assert_eq!((round.shuffled_records, round.shuffled_bytes), (0, 0));
+            continue;
+        }
+        // Every piece has its header and at least one column best.
+        assert!(round.shuffled_bytes >= (16 + 13) * round.shuffled_records);
+        let bound = round.map_tasks * (16 * round.reduce_tasks + 13 * n2) + 12 * n1;
+        assert!(
+            round.shuffled_bytes <= bound,
+            "round {:?}: {} shuffled bytes exceed the node-count bound {bound}",
+            round.label,
+            round.shuffled_bytes
+        );
     }
+    let scored: usize = outcome.phases.iter().map(|p| p.scored_pairs).sum();
+    assert!(
+        stats.total_shuffled_bytes * 10 <= 8 * scored,
+        "the run shuffled {} bytes; packed rows would have moved over {}",
+        stats.total_shuffled_bytes,
+        8 * scored
+    );
 }
 
 #[test]
